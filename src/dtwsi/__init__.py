@@ -19,7 +19,6 @@ from .dtw_core import (
     dtw,
     enumerate_alignments,
     omega_apply,
-    omega_matrix,
     sign_vector,
     test_direction,
     test_statistic,
@@ -38,6 +37,7 @@ from .inference import (
     DegenerateDirectionError,
     InferenceResult,
     RegionMassUnderflowError,
+    conditional_test,
     nuisance_decomposition,
     selective_confidence_interval,
     selective_p_value,
@@ -46,7 +46,6 @@ from .inference import (
     z2_region,
 )
 from .baselines import (
-    QuadraticConstraint,
     data_splitting_test,
     permutation_test,
     si_dtw_oc_p_value,
@@ -63,9 +62,6 @@ from .harness import (
     load_ucr_pair,
     run_ci,
     run_fpr,
-    run_repeated,
-    run_tpr,
-    summarize_repetitions,
 )
 
 __version__ = "0.1.0"

@@ -10,33 +10,16 @@ instead of an envelope computation, at the price of statistical power.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import ndtr
 
-from .dtw_core import (
-    AlignmentMatrix,
-    TimeSeriesPair,
-    cost_matrix,
-    dtw,
-    sign_vector,
-    test_direction,
-    test_statistic,
-)
-from .inference import (
-    DEGENERATE_VARIANCE_TOL,
-    DegenerateDirectionError,
-    InferenceResult,
-    nuisance_decomposition,
-    truncated_gaussian_sf,
-    z2_region,
-)
+from .dtw_core import TimeSeriesPair, cost_matrix, dtw
+from .inference import DEGENERATE_VARIANCE_TOL, InferenceResult, conditional_test
 from .intervals import IntervalUnion
 from .parametric import DataLine
 
 __all__ = [
-    "QuadraticConstraint",
     "solve_quadratic_leq",
     "si_dtw_oc_constraints",
     "si_dtw_oc_region",
@@ -49,48 +32,6 @@ __all__ = [
 # a linear constraint; solving them as quadratics would manufacture crossings
 # at astronomical |z|.
 CURVATURE_SNAP = 1e-12
-
-
-@dataclass(frozen=True)
-class QuadraticConstraint:
-    """A constraint ``w' A w <= 0`` on the stacked data vector ``w``.
-
-    ``A`` is symmetric.  Restricted to a line ``w = a + b z`` the constraint
-    becomes ``(b'Ab) z^2 + (2 a'Ab) z + (a'Aa) <= 0``.
-    """
-
-    A: np.ndarray
-
-    def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("constraint matrix must be square")
-        if not np.all(np.abs(A - A.T) <= 1e-10):
-            raise ValueError("constraint matrix is not symmetric within 1e-10")
-        object.__setattr__(self, "A", A)
-
-    @classmethod
-    def from_paths(
-        cls, favored: tuple, other: tuple, n: int, m: int
-    ) -> "QuadraticConstraint":
-        """Loss-difference form: cells of ``favored`` minus cells of ``other``.
-
-        Each cell ``(i, j)`` contributes the rank-one square of the difference
-        of unit vectors picking ``x_i`` and ``y_j``.
-        """
-        A = np.zeros((n + m, n + m))
-        for cells, sign in ((favored, 1.0), (other, -1.0)):
-            for i, j in cells:
-                e = np.zeros(n + m)
-                e[i - 1] = 1.0
-                e[n + j - 1] = -1.0
-                A += sign * np.outer(e, e)
-        return cls(A)
-
-    def restrict_to_line(self, line: DataLine) -> tuple[float, float, float]:
-        """Coefficients ``(alpha, beta, gamma)`` of the constraint along the line."""
-        Ab = self.A @ line.b
-        return float(line.b @ Ab), float(2.0 * line.a @ Ab), float(line.a @ self.A @ line.a)
 
 
 def solve_quadratic_leq(alpha: float, beta: float, gamma: float) -> IntervalUnion:
@@ -214,26 +155,7 @@ def si_dtw_oc_region(pair: TimeSeriesPair, line: DataLine) -> IntervalUnion:
 
 def si_dtw_oc_p_value(pair: TimeSeriesPair) -> InferenceResult:
     """Conditional p-value under the fully conditioned (per-cell) selection event."""
-    M_obs, _ = dtw(pair)
-    s_obs = sign_vector(M_obs, pair)
-    direction = test_direction(M_obs, s_obs)
-    z_obs = test_statistic(direction, pair)
-    var = pair.covariance_quadratic_form(direction.eta)
-    if var <= DEGENERATE_VARIANCE_TOL:
-        raise DegenerateDirectionError(
-            "degenerate direction: the aligned series are identical on the path"
-        )
-    sigma = math.sqrt(var)
-    line = nuisance_decomposition(pair, direction)
-    region = si_dtw_oc_region(pair, line).intersect(z2_region(line, M_obs, s_obs))
-    if region.is_empty:
-        raise RuntimeError(
-            "over-conditioned selection region lost the observed statistic; internal error"
-        )
-    p = truncated_gaussian_sf(z_obs, sigma, region)
-    return InferenceResult(
-        z_obs=z_obs, sigma=sigma, region=region, p_selective=p, ci=None, alignment=M_obs
-    )
+    return conditional_test(pair, lambda pair, line, M_obs: si_dtw_oc_region(pair, line))
 
 
 def _abs_alignment_statistic(x: np.ndarray, y: np.ndarray) -> float:
@@ -296,7 +218,7 @@ def data_splitting_test(pair: TimeSeriesPair) -> float:
     sub_x = pair.sigma_x[1::2, 1::2]
     sub_y = pair.sigma_y[1::2, 1::2]
     var = float(eta[:n_inf] @ sub_x @ eta[:n_inf] + eta[n_inf:] @ sub_y @ eta[n_inf:])
-    if var <= 1e-12:
+    if var <= DEGENERATE_VARIANCE_TOL:
         if stat == 0.0:
             return 0.5
         return 0.0 if stat > 0.0 else 1.0

@@ -16,25 +16,27 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .baselines import si_dtw_oc_p_value
-from .dtw_core import dtw, enumerate_alignments
+from .dtw_core import TimeSeriesPair, cost_matrix, dtw, enumerate_alignments
 from .harness import (
+    EXACT_METHODS,
+    METHODS,
     ExperimentConfig,
     UcrFormatError,
     load_ucr_pair,
     parse_config_file,
     run_ci,
-    run_tpr,
+    run_fpr,
     write_report_csv,
     write_report_jsonl,
 )
 from .inference import (
     DegenerateDirectionError,
     RegionMassUnderflowError,
+    conditional_test,
     selective_confidence_interval,
     selective_p_value,
 )
-from .parametric import DataLine, envelope_bruteforce, para_dtw, quadratic_loss
+from .parametric import DataLine, envelope_bruteforce, para_dtw, quadratic_loss, z1_region
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -61,14 +63,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("path_b")
     p_test.add_argument("--row-a", type=int, default=0)
     p_test.add_argument("--row-b", type=int, default=0)
-    p_test.add_argument("--method", choices=["si-dtw", "si-dtw-oc"], default="si-dtw")
+    p_test.add_argument("--method", choices=list(EXACT_METHODS), default="si-dtw")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--variance", choices=["known", "estimated"], default="estimated")
     p_test.add_argument("--out", default=None)
 
     p_sim = sub.add_parser("simulate", help="batch experiment from a config file")
     p_sim.add_argument("--config", default=None, help="flat key = value file")
-    p_sim.add_argument("--method", choices=["si-dtw", "si-dtw-oc", "permutation", "data-split"])
+    p_sim.add_argument("--method", choices=METHODS)
     p_sim.add_argument("--n", type=int)
     p_sim.add_argument("--m", type=int)
     p_sim.add_argument("--delta", type=float)
@@ -95,7 +97,7 @@ def _cmd_test(args) -> int:
     pair = load_ucr_pair(
         args.path_a, args.path_b, args.row_a, args.row_b, variance_mode=args.variance
     )
-    result = selective_p_value(pair) if args.method == "si-dtw" else si_dtw_oc_p_value(pair)
+    result = EXACT_METHODS[args.method](pair)
     ci = selective_confidence_interval(pair, args.alpha, result=result)
 
     def finite(x):
@@ -154,7 +156,7 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _cmd_simulate(args) -> int:
     config = _config_from_args(args)
-    report = run_ci(config) if args.ci else run_tpr(config)
+    report = run_ci(config) if args.ci else run_fpr(config)
     if args.out:
         if args.format == "json-lines":
             write_report_jsonl(report, args.out)
@@ -177,8 +179,6 @@ def _cmd_oracle(args) -> int:
     alignments = enumerate_alignments(n, m)
     failures = 0
     for k in range(args.instances):
-        from .dtw_core import TimeSeriesPair, cost_matrix
-
         pair = TimeSeriesPair(rng.normal(size=n), rng.normal(size=m))
         M, dist = dtw(pair)
         C = cost_matrix(pair)
@@ -199,7 +199,9 @@ def _cmd_oracle(args) -> int:
         ok_env = worst <= 1e-8 and env.breakpoints == env_bf.breakpoints
 
         p_fast = selective_p_value(pair).p_selective
-        p_slow = selective_p_value(pair, engine="enumeration").p_selective
+        p_slow = conditional_test(
+            pair, lambda _, line, M: z1_region(envelope_bruteforce(alignments, line), M)
+        ).p_selective
         ok_p = abs(p_fast - p_slow) <= 1e-9
 
         status = "ok" if (ok_dtw and ok_env and ok_p) else "MISMATCH"

@@ -21,7 +21,6 @@ __all__ = [
     "delannoy",
     "enumerate_alignments",
     "dtw",
-    "omega_matrix",
     "omega_apply",
     "sign_vector",
     "test_direction",
@@ -54,7 +53,7 @@ class TimeSeriesPair:
     Parameters
     ----------
     x, y : array_like
-        Observed series of lengths ``n >= 1`` and ``m >= 1``.
+        Observed series of lengths ``n >= 1`` and ``m >= 1``, all values finite.
     sigma_x, sigma_y : array_like, optional
         Symmetric positive-definite noise covariances.  Identity by default.
     """
@@ -74,6 +73,9 @@ class TimeSeriesPair:
             raise ValueError("series must be one-dimensional")
         if x.size < 1 or y.size < 1:
             raise ValueError("series must have length >= 1")
+        for name, series in (("x", x), ("y", y)):
+            if not np.isfinite(series).all():
+                raise ValueError(f"series {name} has a non-finite value")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
         sigma_x = np.eye(x.size) if self.sigma_x is None else self.sigma_x
@@ -144,10 +146,6 @@ class AlignmentMatrix:
         for i, j in self.path:
             out[(i - 1) * self.m + (j - 1)] = 1.0
         return out
-
-    def vec_indices(self) -> np.ndarray:
-        """Row-major positions of the path cells."""
-        return np.array([(i - 1) * self.m + (j - 1) for i, j in self.path], dtype=int)
 
 
 @dataclass(frozen=True)
@@ -283,21 +281,6 @@ def dtw(pair: TimeSeriesPair) -> tuple[AlignmentMatrix, float]:
     table = _dtw_table(cost, n, m)
     path = _traceback(table, n - 1, m - 1)
     return AlignmentMatrix(n, m, path), table[n - 1][m - 1]
-
-
-def omega_matrix(n: int, m: int) -> np.ndarray:
-    """Dense ``(n*m) x (n+m)`` map from stacked series to row-major differences.
-
-    Row ``(i-1)*m + (j-1)`` carries ``+1`` in column ``i-1`` and ``-1`` in
-    column ``n + j - 1``, so the product with the stacked vector lists
-    ``x_i - y_j`` row by row.  Intended for tests and small problems; use
-    :func:`omega_apply` elsewhere.
-    """
-    out = np.zeros((n * m, n + m))
-    rows = np.arange(n * m)
-    out[rows, rows // m] = 1.0
-    out[rows, n + rows % m] = -1.0
-    return out
 
 
 def omega_apply(v: np.ndarray, n: int, m: int) -> np.ndarray:

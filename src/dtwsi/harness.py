@@ -13,18 +13,14 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.stats import skewnorm
 
 from .baselines import data_splitting_test, permutation_test, si_dtw_oc_p_value
 from .dtw_core import TimeSeriesPair, sign_vector, test_direction
-from .inference import (
-    InferenceResult,
-    selective_p_value,
-    truncated_gaussian_ci,
-)
+from .inference import InferenceResult, selective_p_value, truncated_gaussian_ci
 
 __all__ = [
     "UcrFormatError",
@@ -34,17 +30,16 @@ __all__ = [
     "generate_pair",
     "estimated_variance_pair",
     "run_fpr",
-    "run_tpr",
     "run_ci",
-    "run_repeated",
-    "summarize_repetitions",
     "load_ucr_pair",
     "write_report_jsonl",
     "write_report_csv",
     "parse_config_file",
 ]
 
-METHODS = ("si-dtw", "si-dtw-oc", "permutation", "data-split")
+# The conditional tests, by method name; each returns an InferenceResult.
+EXACT_METHODS = {"si-dtw": selective_p_value, "si-dtw-oc": si_dtw_oc_p_value}
+METHODS = (*EXACT_METHODS, "permutation", "data-split")
 COVARIANCES = ("independence", "ar-correlation")
 NOISES = ("gaussian", "laplace", "skew-normal-10", "student-t-20")
 VARIANCE_MODES = ("known", "estimated")
@@ -206,26 +201,20 @@ def _run_batch(config: ExperimentConfig, methods: tuple[str, ...], with_ci: bool
         pair = generate_pair(config, t)
         for name in methods:
             start = time.perf_counter()
-            result = None
-            if name == "si-dtw":
-                result = selective_p_value(pair)
+            if name in EXACT_METHODS:
+                result = EXACT_METHODS[name](pair)
                 p = result.p_selective
-            elif name == "si-dtw-oc":
-                result = si_dtw_oc_p_value(pair)
-                p = result.p_selective
+                if with_ci:
+                    lo, hi = truncated_gaussian_ci(
+                        result.z_obs, result.sigma, result.region, config.alpha
+                    )
+                    theta = _true_statistic_mean(config, result, pair)
+                    collect[name]["len"].append(hi - lo)
+                    collect[name]["cov"].append(bool(lo <= theta <= hi))
             elif name == "permutation":
                 p = permutation_test(pair, config.B, _permutation_seed(config, t))
-            elif name == "data-split":
-                p = data_splitting_test(pair)
             else:
-                raise ValueError(f"unknown method {name!r}")
-            if with_ci and result is not None:
-                lo, hi = truncated_gaussian_ci(
-                    result.z_obs, result.sigma, result.region, config.alpha
-                )
-                theta = _true_statistic_mean(config, result, pair)
-                collect[name]["len"].append(hi - lo)
-                collect[name]["cov"].append(bool(lo <= theta <= hi))
+                p = data_splitting_test(pair)
             collect[name]["sec"].append(time.perf_counter() - start)
             collect[name]["p"].append(p)
     results = {}
@@ -243,38 +232,13 @@ def _run_batch(config: ExperimentConfig, methods: tuple[str, ...], with_ci: bool
 
 
 def run_fpr(config: ExperimentConfig) -> ExperimentReport:
-    """Null-model batch for the configured method (set ``delta = 0``)."""
+    """Batch of the configured method: false positive rate at ``delta = 0``, power otherwise."""
     return _run_batch(config, (config.method,), with_ci=False)
-
-
-def run_tpr(config: ExperimentConfig, paired: bool = False) -> ExperimentReport:
-    """Shift-model batch; ``paired=True`` runs both exact methods on identical data."""
-    methods = ("si-dtw", "si-dtw-oc") if paired else (config.method,)
-    return _run_batch(config, methods, with_ci=False)
 
 
 def run_ci(config: ExperimentConfig) -> ExperimentReport:
     """Paired confidence-interval batch for both exact methods on identical data."""
-    return _run_batch(config, ("si-dtw", "si-dtw-oc"), with_ci=True)
-
-
-def run_repeated(config: ExperimentConfig, repetitions: int, runner=run_fpr) -> list[ExperimentReport]:
-    """Repeat a batch with shifted seeds; rates are summarized per repetition."""
-    return [
-        runner(replace(config, seed=config.seed + 1_000_003 * (r + 1)))
-        for r in range(repetitions)
-    ]
-
-
-def summarize_repetitions(reports: list[ExperimentReport]) -> dict:
-    """Per-repetition rejection rates and their mean, per method."""
-    out: dict[str, dict] = {}
-    for report in reports:
-        for name, res in report.results.items():
-            out.setdefault(name, {"rates": []})["rates"].append(res.rejection_rate)
-    for name in out:
-        out[name]["mean_rate"] = float(np.mean(out[name]["rates"]))
-    return out
+    return _run_batch(config, tuple(EXACT_METHODS), with_ci=True)
 
 
 def _parse_ucr_row(path: str, row_index: int) -> tuple[float, np.ndarray]:

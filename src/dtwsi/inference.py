@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -20,14 +21,13 @@ from .dtw_core import (
     TestDirection,
     TimeSeriesPair,
     dtw,
-    enumerate_alignments,
     omega_apply,
     sign_vector,
     test_direction,
     test_statistic,
 )
 from .intervals import IntervalUnion
-from .parametric import DataLine, envelope_bruteforce, para_dtw, z1_region
+from .parametric import DataLine, para_dtw, z1_region
 
 __all__ = [
     "DegenerateDirectionError",
@@ -37,6 +37,7 @@ __all__ = [
     "z2_region",
     "truncated_gaussian_sf",
     "truncated_gaussian_ci",
+    "conditional_test",
     "selective_p_value",
     "selective_confidence_interval",
 ]
@@ -44,6 +45,11 @@ __all__ = [
 DEGENERATE_VARIANCE_TOL = 1e-12
 # Total log-mass below this is indistinguishable from zero in double precision.
 UNDERFLOW_LOG_MASS = -700.0
+
+
+def _membership_tol(sigma: float, z_obs: float) -> float:
+    """Endpoint slack when checking that ``z_obs`` lies in its truncation region."""
+    return 1e-8 * max(1.0, sigma, abs(z_obs))
 
 
 class DegenerateDirectionError(ValueError):
@@ -60,22 +66,20 @@ class InferenceResult:
 
     ``z_obs`` is the observed statistic, ``sigma`` its null standard
     deviation, ``region`` the truncation region on the data line,
-    ``p_selective`` the conditional tail probability, ``ci`` an optional
-    equal-tailed confidence interval for the statistic's mean, and
-    ``alignment`` the selected warping path.
+    ``p_selective`` the conditional tail probability, and ``alignment`` the
+    selected warping path.
     """
 
     z_obs: float
     sigma: float
     region: IntervalUnion
     p_selective: float
-    ci: tuple[float, float] | None
     alignment: AlignmentMatrix
 
     def __post_init__(self):
         if not 0.0 <= self.p_selective <= 1.0:
             raise ValueError(f"p-value {self.p_selective} outside [0, 1]")
-        if not self.region.contains(self.z_obs, tol=1e-8 * max(1.0, self.sigma, abs(self.z_obs))):
+        if not self.region.contains(self.z_obs, tol=_membership_tol(self.sigma, self.z_obs)):
             raise ValueError("observed statistic lies outside its own truncation region")
 
 
@@ -192,7 +196,7 @@ def truncated_gaussian_sf(z_obs: float, sigma: float, region: IntervalUnion) -> 
         raise ValueError("sigma must be positive")
     if region.is_empty:
         raise ValueError("truncation region is empty")
-    if not region.contains(z_obs, tol=1e-8 * max(1.0, sigma, abs(z_obs))):
+    if not region.contains(z_obs, tol=_membership_tol(sigma, z_obs)):
         raise ValueError(f"z_obs={z_obs} lies outside the truncation region {region}")
     log_den = _log_region_mass(region, 0.0, sigma)
     if log_den < UNDERFLOW_LOG_MASS:
@@ -252,43 +256,46 @@ def truncated_gaussian_ci(
     return solve(alpha / 2.0), solve(1.0 - alpha / 2.0)
 
 
-def selective_p_value(pair: TimeSeriesPair, engine: str = "recursion") -> InferenceResult:
+def conditional_test(
+    pair: TimeSeriesPair,
+    selection_region: Callable[[TimeSeriesPair, DataLine, AlignmentMatrix], IntervalUnion],
+) -> InferenceResult:
     """Conditional p-value for the optimal-alignment statistic of ``pair``.
 
     Pipeline: solve the alignment, build the statistic direction, decompose
-    out the nuisance to obtain the data line, trace the envelope of optimal
-    alignments along the line, intersect the alignment-preserving and
-    sign-preserving regions, and evaluate the truncated-Gaussian tail.
+    out the nuisance to obtain the data line, intersect the selection region
+    with the sign-preserving region, and evaluate the truncated-Gaussian tail.
 
-    ``engine`` selects how the envelope is computed: ``"recursion"`` uses the
-    cell-table propagation, ``"enumeration"`` the brute force over all paths
-    (guarded, for cross-checks on small problems).
+    ``selection_region(pair, line, M_obs)`` returns the line parameters at
+    which the selection event conditioned on holds; it is the only step in
+    which the exact methods differ.
     """
     M_obs, _ = dtw(pair)
     s_obs = sign_vector(M_obs, pair)
     direction = test_direction(M_obs, s_obs)
     z_obs = test_statistic(direction, pair)
-    sigma = math.sqrt(pair.covariance_quadratic_form(direction.eta))
-    if sigma * sigma <= DEGENERATE_VARIANCE_TOL:
-        raise DegenerateDirectionError(
-            "degenerate direction: the aligned series are identical on the path"
-        )
     line = nuisance_decomposition(pair, direction)
-    if engine == "recursion":
-        env = para_dtw(line, pair.n, pair.m)
-    elif engine == "enumeration":
-        env = envelope_bruteforce(enumerate_alignments(pair.n, pair.m), line)
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
-    region = z1_region(env, M_obs).intersect(z2_region(line, M_obs, s_obs))
+    sigma = math.sqrt(pair.covariance_quadratic_form(direction.eta))
+    region = selection_region(pair, line, M_obs).intersect(z2_region(line, M_obs, s_obs))
     if region.is_empty:
         raise RuntimeError(
             "selection region lost the observed statistic; this indicates an upstream bug"
         )
     p = truncated_gaussian_sf(z_obs, sigma, region)
-    return InferenceResult(
-        z_obs=z_obs, sigma=sigma, region=region, p_selective=p, ci=None, alignment=M_obs
-    )
+    return InferenceResult(z_obs=z_obs, sigma=sigma, region=region, p_selective=p, alignment=M_obs)
+
+
+def _envelope_region(pair: TimeSeriesPair, line: DataLine, M_obs: AlignmentMatrix) -> IntervalUnion:
+    return z1_region(para_dtw(line, pair.n, pair.m), M_obs)
+
+
+def selective_p_value(pair: TimeSeriesPair) -> InferenceResult:
+    """Conditional test given the selected alignment and its sign pattern.
+
+    The selection region is where the envelope of optimal alignment losses
+    along the data line carries the observed alignment.
+    """
+    return conditional_test(pair, _envelope_region)
 
 
 def selective_confidence_interval(

@@ -102,9 +102,6 @@ class IntervalUnion:
                 j += 1
         return IntervalUnion(out)
 
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion(self._intervals + other._intervals)
-
     def is_subset_of(self, other: "IntervalUnion", tol: float = 0.0) -> bool:
         """Whether every interval here is covered by ``other``.
 

@@ -83,9 +83,6 @@ class DataLine:
     def y_at(self, z: float) -> np.ndarray:
         return self.a2 + self.b2 * z
 
-    def point(self, z: float) -> np.ndarray:
-        return self.a + self.b * z
-
 
 @dataclass(frozen=True)
 class QuadraticLoss:
@@ -135,9 +132,6 @@ class PiecewiseEnvelope:
             else:
                 lo = mid + 1
         return lo
-
-    def alignment_at(self, z: float) -> AlignmentMatrix:
-        return self.segments[self.segment_index_at(z)][0]
 
     def value(self, z: float) -> float:
         return self.segments[self.segment_index_at(z)][1](z)
@@ -341,15 +335,14 @@ def para_dtw(line: DataLine, n: int, m: int) -> PiecewiseEnvelope:
             if i == 0 and j == 0:
                 cands = [(((1, 1),), t0, t1, t2)]
             else:
-                seen = {}
-                for pi, pj in ((i - 1, j - 1), (i - 1, j), (i, j - 1)):
-                    if pi < 0 or pj < 0:
-                        continue
-                    for path, w0, w1, w2 in table[pi][pj]:
-                        ext = path + (cell,)
-                        if ext not in seen:
-                            seen[ext] = (ext, w0 + t0, w1 + t1, w2 + t2)
-                cands = list(seen.values())
+                # Extensions of different predecessor cells end in different
+                # penultimate cells, so no candidate path appears twice.
+                cands = [
+                    (path + (cell,), w0 + t0, w1 + t1, w2 + t2)
+                    for pi, pj in ((i - 1, j - 1), (i - 1, j), (i, j - 1))
+                    if pi >= 0 and pj >= 0
+                    for path, w0, w1, w2 in table[pi][pj]
+                ]
             ranks = _rank_candidates(cands)
             bps, order = _walk_envelope(cands, ranks)
             kept = []

@@ -1,12 +1,12 @@
 """Tests for the comparison methods."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from dtwsi.baselines import (
-    QuadraticConstraint,
     data_splitting_test,
     permutation_test,
     si_dtw_oc_constraints,
@@ -21,6 +21,47 @@ from dtwsi.intervals import IntervalUnion
 from dtwsi.parametric import DataLine, quadratic_loss
 
 INF = math.inf
+
+
+@dataclass(frozen=True)
+class QuadraticConstraint:
+    """A constraint ``w' A w <= 0`` on the stacked data vector ``w``.
+
+    The dense reference for ``si_dtw_oc_constraints``: ``A`` is symmetric, and
+    restricted to a line ``w = a + b z`` the constraint becomes
+    ``(b'Ab) z^2 + (2 a'Ab) z + (a'Aa) <= 0``.
+    """
+
+    A: np.ndarray
+
+    def __post_init__(self):
+        A = np.asarray(self.A, dtype=float)
+        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+            raise ValueError("constraint matrix must be square")
+        if not np.all(np.abs(A - A.T) <= 1e-10):
+            raise ValueError("constraint matrix is not symmetric within 1e-10")
+        object.__setattr__(self, "A", A)
+
+    @classmethod
+    def from_paths(cls, favored, other, n, m):
+        """Loss-difference form: cells of ``favored`` minus cells of ``other``.
+
+        Each cell ``(i, j)`` contributes the rank-one square of the difference
+        of unit vectors picking ``x_i`` and ``y_j``.
+        """
+        A = np.zeros((n + m, n + m))
+        for cells, sign in ((favored, 1.0), (other, -1.0)):
+            for i, j in cells:
+                e = np.zeros(n + m)
+                e[i - 1] = 1.0
+                e[n + j - 1] = -1.0
+                A += sign * np.outer(e, e)
+        return cls(A)
+
+    def restrict_to_line(self, line):
+        """Coefficients ``(alpha, beta, gamma)`` of the constraint along the line."""
+        Ab = self.A @ line.b
+        return float(line.b @ Ab), float(2.0 * line.a @ Ab), float(line.a @ self.A @ line.a)
 
 
 def observed_line(pair):

@@ -1,10 +1,17 @@
 """Tests for the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dtwsi
 from dtwsi.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+
+SRC = str(Path(dtwsi.__file__).resolve().parents[1])
 
 
 @pytest.fixture()
@@ -45,6 +52,24 @@ class TestTestCommand:
         bad.write_text("1,0.5,abc\n")
         assert main(["test", str(bad), str(bad)]) == EXIT_INPUT
         assert "field 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "token, variance", [("nan", "known"), ("nan", "estimated"), ("inf", "known")]
+    )
+    def test_non_finite_value_is_input_error(self, tmp_path, token, variance):
+        # A child process with a timeout: a NaN that reached the alignment
+        # traceback would loop there forever, which must fail, not hang.
+        fa = tmp_path / "a.csv"
+        fb = tmp_path / "b.csv"
+        fa.write_text(f"1,0.5,{token},1.5\n")
+        fb.write_text("1,0.2,0.4,0.9\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "dtwsi.cli", "test", str(fa), str(fb), "--variance", variance],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert "series x has a non-finite value" in proc.stderr
 
     def test_degenerate_pair_is_numeric_error(self, tmp_path, capsys):
         f = tmp_path / "same.csv"

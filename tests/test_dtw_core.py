@@ -12,11 +12,23 @@ from dtwsi.dtw_core import (
     dtw,
     enumerate_alignments,
     omega_apply,
-    omega_matrix,
     sign_vector,
 )
 from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.dtw_core import test_statistic as statistic_of
+
+
+def omega_matrix(n, m):
+    """Dense ``(n*m) x (n+m)`` map from stacked series to row-major differences.
+
+    Row ``(i-1)*m + (j-1)`` carries ``+1`` in column ``i-1`` and ``-1`` in
+    column ``n + j - 1``; the reference that ``omega_apply`` is checked against.
+    """
+    out = np.zeros((n * m, n + m))
+    rows = np.arange(n * m)
+    out[rows, rows // m] = 1.0
+    out[rows, n + rows % m] = -1.0
+    return out
 
 
 def brute_force_distance(pair):
@@ -43,6 +55,13 @@ class TestTimeSeriesPair:
     def test_rejects_empty_series(self):
         with pytest.raises(ValueError):
             TimeSeriesPair([], [1.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="series x has a non-finite value"):
+            TimeSeriesPair([0.0, bad, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError, match="series y has a non-finite value"):
+            TimeSeriesPair([0.0, 1.0], [bad])
 
     def test_quadratic_form_matches_dense(self):
         rng = np.random.default_rng(0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from dtwsi.harness import (
+    EXACT_METHODS,
     ExperimentConfig,
     UcrFormatError,
     estimated_variance_pair,
@@ -15,9 +16,6 @@ from dtwsi.harness import (
     parse_config_file,
     run_ci,
     run_fpr,
-    run_repeated,
-    run_tpr,
-    summarize_repetitions,
     write_report_csv,
     write_report_jsonl,
 )
@@ -103,8 +101,14 @@ class TestRunners:
         assert len(res.seconds) == 25
 
     def test_tpr_at_zero_shift_equals_fpr(self):
-        cfg = ExperimentConfig(method="si-dtw", n=4, m=4, delta=0.0, trials=10, seed=8)
-        assert run_tpr(cfg).results["si-dtw"].p_values == run_fpr(cfg).results["si-dtw"].p_values
+        # one batch driver serves both rates: its p-values are the method's
+        # own on each generated pair, whatever the shift
+        for delta in (0.0, 2.0):
+            cfg = ExperimentConfig(method="si-dtw", n=4, m=4, delta=delta, trials=10, seed=8)
+            want = tuple(
+                EXACT_METHODS["si-dtw"](generate_pair(cfg, t)).p_selective for t in range(10)
+            )
+            assert run_fpr(cfg).results["si-dtw"].p_values == want
 
     def test_reports_reproducible(self):
         cfg = ExperimentConfig(method="si-dtw-oc", n=4, m=4, trials=8, seed=9)
@@ -114,7 +118,7 @@ class TestRunners:
 
     def test_paired_run_shares_trials(self):
         cfg = ExperimentConfig(n=4, m=4, delta=2.0, trials=6, seed=10)
-        rep = run_tpr(cfg, paired=True)
+        rep = run_ci(cfg)
         assert set(rep.results) == {"si-dtw", "si-dtw-oc"}
         si = rep.results["si-dtw"]
         oc = rep.results["si-dtw-oc"]
@@ -128,17 +132,6 @@ class TestRunners:
             assert all(length > 0 for length in res.ci_lengths)
             assert res.coverage_rate is not None
             assert res.median_ci_length is not None
-
-    def test_repeated_runs_and_summary(self):
-        cfg = ExperimentConfig(method="data-split", n=6, m=6, trials=10, seed=12)
-        reports = run_repeated(cfg, repetitions=3)
-        assert len(reports) == 3
-        seeds = {r.config.seed for r in reports}
-        assert len(seeds) == 3
-        summary = summarize_repetitions(reports)
-        rates = summary["data-split"]["rates"]
-        assert len(rates) == 3
-        assert summary["data-split"]["mean_rate"] == pytest.approx(np.mean(rates))
 
 
 class TestUcrLoader:

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
-from dtwsi.dtw_core import AlignmentMatrix, TimeSeriesPair, dtw, sign_vector
+from dtwsi.dtw_core import AlignmentMatrix, TimeSeriesPair, dtw, enumerate_alignments, sign_vector
 from dtwsi.dtw_core import TestDirection as Direction
 from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.inference import (
     DegenerateDirectionError,
     RegionMassUnderflowError,
+    conditional_test,
     nuisance_decomposition,
     selective_confidence_interval,
     selective_p_value,
@@ -20,7 +21,7 @@ from dtwsi.inference import (
     z2_region,
 )
 from dtwsi.intervals import IntervalUnion
-from dtwsi.parametric import DataLine
+from dtwsi.parametric import DataLine, envelope_bruteforce, z1_region
 
 INF = math.inf
 
@@ -28,6 +29,12 @@ INF = math.inf
 def random_pair(seed, n=5, m=5):
     rng = np.random.default_rng(seed)
     return TimeSeriesPair(rng.normal(size=n), rng.normal(size=m))
+
+
+def enumeration_region(pair, line, M_obs):
+    """Selection region from the brute-force envelope over every alignment."""
+    env = envelope_bruteforce(enumerate_alignments(pair.n, pair.m), line)
+    return z1_region(env, M_obs)
 
 
 def observed_direction(pair):
@@ -177,7 +184,7 @@ class TestSelectivePValue:
             m = int(rng.integers(2, 6))
             pair = random_pair(seed, n=n, m=m)
             fast = selective_p_value(pair)
-            slow = selective_p_value(pair, engine="enumeration")
+            slow = conditional_test(pair, enumeration_region)
             assert fast.p_selective == pytest.approx(slow.p_selective, abs=1e-9)
 
     def test_statistic_is_alignment_statistic(self):
@@ -193,10 +200,6 @@ class TestSelectivePValue:
             pair = TimeSeriesPair(rng.normal(size=5), rng.normal(size=5))
             hits += selective_p_value(pair).p_selective <= 0.05
         assert 0.008 <= hits / 120 <= 0.12
-
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            selective_p_value(random_pair(0), engine="sampling")
 
 
 class TestConfidenceInterval:
