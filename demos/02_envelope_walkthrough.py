@@ -50,9 +50,32 @@ for k, (M, q) in enumerate(env_fast.segments):
     marker = " <- observed" if M.path == alignment.path else ""
     print(f"  [{lo:9.3f}, {hi:9.3f}]  {str(M.path):55s}{marker}")
 
-region_alignment = z1_region(env_fast, alignment)
 region_signs = z2_region(line, alignment, signs)
+(window,) = region_signs.intervals
+env_window = para_dtw(line, n, m, window)  # the envelope inference builds
+print(f"\nsign-preserving window {region_signs}; envelope built on it alone:")
+for k, (M, q) in enumerate(env_window.segments):
+    lo, hi = env_window.breakpoints[k], env_window.breakpoints[k + 1]
+    marker = " <- observed" if M.path == alignment.path else ""
+    print(f"  [{lo:9.3f}, {hi:9.3f}]  {str(M.path):55s}{marker}")
+
+# the full-line envelope clipped to the window is the windowed envelope
+clipped = [
+    (max(lo, window[0]), min(hi, window[1]), M.path)
+    for (M, _), lo, hi in zip(env_fast.segments, env_fast.breakpoints, env_fast.breakpoints[1:])
+    if hi > window[0] and lo < window[1]
+]
+assert [c[2] for c in clipped] == [M.path for M, _ in env_window.segments]
+window_bps = env_window.breakpoints
+assert np.allclose([c[:2] for c in clipped], list(zip(window_bps, window_bps[1:])))
+print(
+    f"inside the window both envelopes carry the same paths; the window removes "
+    f"{len(env_fast.segments) - len(env_window.segments)} of {len(env_fast.segments)} segments"
+)
+
+region_alignment = z1_region(env_fast, alignment)
 region = region_alignment.intersect(region_signs)
+assert region == z1_region(env_window, alignment)
 print(f"\nalignment-preserving region: {region_alignment}")
 print(f"sign-preserving region     : {region_signs}")
 print(f"selection region           : {region}")

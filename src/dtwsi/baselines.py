@@ -155,7 +155,7 @@ def si_dtw_oc_region(pair: TimeSeriesPair, line: DataLine) -> IntervalUnion:
 
 def si_dtw_oc_p_value(pair: TimeSeriesPair) -> InferenceResult:
     """Conditional p-value under the fully conditioned (per-cell) selection event."""
-    return conditional_test(pair, lambda pair, line, M_obs: si_dtw_oc_region(pair, line))
+    return conditional_test(pair, lambda pair, line, M_obs, window: si_dtw_oc_region(pair, line))
 
 
 def _abs_alignment_statistic(x: np.ndarray, y: np.ndarray) -> float:

@@ -198,16 +198,22 @@ def _cmd_oracle(args) -> int:
         )
         ok_env = worst <= 1e-8 and env.breakpoints == env_bf.breakpoints
 
-        p_fast = selective_p_value(pair).p_selective
-        p_slow = conditional_test(
-            pair, lambda _, line, M: z1_region(envelope_bruteforce(alignments, line), M)
-        ).p_selective
-        ok_p = abs(p_fast - p_slow) <= 1e-9
+        fast = selective_p_value(pair)
+        slow = conditional_test(
+            pair, lambda _, line, M, window: z1_region(envelope_bruteforce(alignments, line), M)
+        )
+        ok_p = abs(fast.p_selective - slow.p_selective) <= 1e-9
+        ok_region = len(fast.region) == len(slow.region) and all(
+            u == v or abs(u - v) <= 1e-9 * max(1.0, abs(v))
+            for piece_fast, piece_slow in zip(fast.region, slow.region)
+            for u, v in zip(piece_fast, piece_slow)
+        )
 
-        status = "ok" if (ok_dtw and ok_env and ok_p) else "MISMATCH"
+        status = "ok" if (ok_dtw and ok_env and ok_p and ok_region) else "MISMATCH"
         print(
             f"instance {k:3d}: dtw={'ok' if ok_dtw else 'FAIL'} "
-            f"envelope={'ok' if ok_env else 'FAIL'} p={'ok' if ok_p else 'FAIL'} -> {status}"
+            f"envelope={'ok' if ok_env else 'FAIL'} p={'ok' if ok_p else 'FAIL'} "
+            f"region={'ok' if ok_region else 'FAIL'} -> {status}"
         )
         failures += status != "ok"
     print(f"{args.instances - failures}/{args.instances} instances consistent")

@@ -156,9 +156,13 @@ def estimated_variance_pair(x: np.ndarray, y: np.ndarray) -> TimeSeriesPair:
     y = np.asarray(y, dtype=float)
     if x.size < 2 or y.size < 2:
         raise ValueError("variance estimation needs at least two observations per series")
-    return TimeSeriesPair(
-        x, y, np.var(x, ddof=1) * np.eye(x.size), np.var(y, ddof=1) * np.eye(y.size)
-    )
+    var_x, var_y = np.var(x, ddof=1), np.var(y, ddof=1)
+    for name, var in (("x", var_x), ("y", var_y)):
+        if var == 0.0:
+            raise ValueError(
+                f"series {name} has zero sample variance; its noise level cannot be estimated"
+            )
+    return TimeSeriesPair(x, y, var_x * np.eye(x.size), var_y * np.eye(y.size))
 
 
 def generate_pair(config: ExperimentConfig, trial_index: int) -> TimeSeriesPair:

@@ -258,17 +258,21 @@ def truncated_gaussian_ci(
 
 def conditional_test(
     pair: TimeSeriesPair,
-    selection_region: Callable[[TimeSeriesPair, DataLine, AlignmentMatrix], IntervalUnion],
+    selection_region: Callable[
+        [TimeSeriesPair, DataLine, AlignmentMatrix, IntervalUnion], IntervalUnion
+    ],
 ) -> InferenceResult:
     """Conditional p-value for the optimal-alignment statistic of ``pair``.
 
     Pipeline: solve the alignment, build the statistic direction, decompose
     out the nuisance to obtain the data line, intersect the selection region
-    with the sign-preserving region, and evaluate the truncated-Gaussian tail.
+    with the sign-preserving window, and evaluate the truncated-Gaussian tail.
 
-    ``selection_region(pair, line, M_obs)`` returns the line parameters at
-    which the selection event conditioned on holds; it is the only step in
-    which the exact methods differ.
+    ``selection_region(pair, line, M_obs, window)`` returns the line
+    parameters at which the selection event conditioned on holds; it is the
+    only step in which the exact methods differ.  ``window`` is the
+    sign-preserving region, computed first: the result is intersected with
+    it, so a builder need only be exact inside it.
     """
     M_obs, _ = dtw(pair)
     s_obs = sign_vector(M_obs, pair)
@@ -276,7 +280,8 @@ def conditional_test(
     z_obs = test_statistic(direction, pair)
     line = nuisance_decomposition(pair, direction)
     sigma = math.sqrt(pair.covariance_quadratic_form(direction.eta))
-    region = selection_region(pair, line, M_obs).intersect(z2_region(line, M_obs, s_obs))
+    window = z2_region(line, M_obs, s_obs)
+    region = selection_region(pair, line, M_obs, window).intersect(window)
     if region.is_empty:
         raise RuntimeError(
             "selection region lost the observed statistic; this indicates an upstream bug"
@@ -285,8 +290,14 @@ def conditional_test(
     return InferenceResult(z_obs=z_obs, sigma=sigma, region=region, p_selective=p, alignment=M_obs)
 
 
-def _envelope_region(pair: TimeSeriesPair, line: DataLine, M_obs: AlignmentMatrix) -> IntervalUnion:
-    return z1_region(para_dtw(line, pair.n, pair.m), M_obs)
+def _envelope_region(
+    pair: TimeSeriesPair, line: DataLine, M_obs: AlignmentMatrix, window: IntervalUnion
+) -> IntervalUnion:
+    """Where ``M_obs`` carries the envelope, built on the window alone."""
+    if window.is_empty:
+        return window
+    (bounds,) = window.intervals
+    return z1_region(para_dtw(line, pair.n, pair.m, bounds), M_obs)
 
 
 def selective_p_value(pair: TimeSeriesPair) -> InferenceResult:

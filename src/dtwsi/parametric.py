@@ -33,6 +33,8 @@ MIN_BREAKPOINT_GAP = 1e-12
 # Quadratic intersections with a discriminant this close to zero are treated
 # as tangencies: the parabolas touch but do not cross.
 TANGENCY_TOL = 1e-12
+# Values, slopes or curvatures within this relative band count as tied.
+TIE_BAND = 1e-9
 
 
 @dataclass(frozen=True)
@@ -107,7 +109,8 @@ class QuadraticLoss:
 class PiecewiseEnvelope:
     """Lower envelope of path losses: breakpoints and per-segment optima.
 
-    ``breakpoints`` runs from ``-inf`` to ``+inf``; segment ``k`` covers
+    The envelope covers ``[breakpoints[0], breakpoints[-1]]``, which is
+    ``-inf`` to ``+inf`` for a full-line envelope; segment ``k`` covers
     ``[breakpoints[k], breakpoints[k+1]]`` and stores the alignment that is
     minimal there together with its loss quadratic.
     """
@@ -120,10 +123,15 @@ class PiecewiseEnvelope:
             raise ValueError("need exactly one more breakpoint than segments")
         if not self.segments:
             raise ValueError("envelope needs at least one segment")
-        if self.breakpoints[0] != -math.inf or self.breakpoints[-1] != math.inf:
-            raise ValueError("envelope must cover the whole real line")
+        if any(b < a for a, b in zip(self.breakpoints, self.breakpoints[1:])):
+            raise ValueError("breakpoints must be non-decreasing")
 
     def segment_index_at(self, z: float) -> int:
+        if not self.breakpoints[0] <= z <= self.breakpoints[-1]:
+            raise ValueError(
+                f"z={z} lies outside the envelope's cover "
+                f"[{self.breakpoints[0]}, {self.breakpoints[-1]}]"
+            )
         lo, hi = 0, len(self.segments) - 1
         while lo < hi:
             mid = (lo + hi) // 2
@@ -190,21 +198,39 @@ def _crossing_root(d2: float, d1: float, d0: float, z: float) -> float:
     return r if r > z else math.inf
 
 
-def _walk_envelope(cands: list[tuple], ranks: list[int]) -> tuple[list[float], list[int]]:
-    """Trace the lower envelope of candidate quadratics.
+def _walk_envelope(
+    cands: list[tuple], ranks: list[int], lo: float = -math.inf, hi: float = math.inf
+) -> tuple[list[float], list[int]]:
+    """Trace the lower envelope of candidate quadratics over ``[lo, hi]``.
 
     ``cands`` holds ``(path, w0, w1, w2)`` tuples; ``ranks`` is a total order
     used to break exact ties deterministically.  Returns breakpoints from
-    ``-inf`` to ``+inf`` and the index of the minimal candidate per segment.
+    ``lo`` to ``hi`` and the index of the minimal candidate per segment.
+
+    At a finite ``lo`` the walk starts from the candidate minimal there when
+    it is minimal by more than the tie band.  Otherwise it starts at ``-inf``
+    and records segments only from ``lo`` on: picking among near-tied losses
+    at ``lo`` is not robust, because two of them may never cross again (one
+    touches the other just inside the window, or a cell cost vanishes at
+    ``lo``), so a wrong pick would never be corrected.
     """
     K = len(cands)
-    # minimal as z -> -inf: smallest curvature, then steepest descent, then offset
-    active = min(
-        range(K), key=lambda k: (cands[k][3], -cands[k][2], cands[k][1], ranks[k])
-    )
-    breakpoints = [-math.inf]
+    active = None
+    if lo > -math.inf:
+        at_lo = sorted(
+            ((w2 * lo + w1) * lo + w0, k) for k, (_, w0, w1, w2) in enumerate(cands)
+        )
+        v0, k0 = at_lo[0]
+        if K == 1 or at_lo[1][0] - v0 > TIE_BAND * (1.0 + abs(v0)):
+            active, z = k0, lo
+    if active is None:
+        # minimal as z -> -inf: smallest curvature, then steepest descent, then offset
+        active = min(
+            range(K), key=lambda k: (cands[k][3], -cands[k][2], cands[k][1], ranks[k])
+        )
+        z = -math.inf
+    breakpoints = [lo]
     order = [active]
-    z = -math.inf
     for _ in range(3 * K + 16):
         _, a0, a1c, a2c = cands[active]
         best = math.inf
@@ -217,7 +243,8 @@ def _walk_envelope(cands: list[tuple], ranks: list[int]) -> tuple[list[float], l
             roots[k] = r
             if r < best:
                 best = r
-        if best == math.inf:
+        # also stops when nothing crosses (best == inf), even for hi == inf
+        if best >= hi:
             break
         # Losses of paths differing by a cell whose cost vanishes at some z*
         # all tie there, so multi-way crossings at one point are routine, and
@@ -229,27 +256,30 @@ def _walk_envelope(cands: list[tuple], ranks: list[int]) -> tuple[list[float], l
         gap = MIN_BREAKPOINT_GAP * max(1.0, abs(best))
         crossers = [k for k in range(K) if roots[k] <= best + gap]
         nxt = _minimal_after(crossers, best, cands, ranks)
-        breakpoints.append(best)
-        order.append(nxt)
+        if best <= lo:
+            order[-1] = nxt  # left of the window: only the segment holding lo counts
+        else:
+            breakpoints.append(best)
+            order.append(nxt)
         active = nxt
         z = best
     else:
         raise RuntimeError("envelope walk failed to terminate; degenerate candidate set")
-    breakpoints.append(math.inf)
+    breakpoints.append(hi)
     return _merge_segments(breakpoints, order, cands)
 
 
 def _minimal_after(kept: list[int], z: float, cands, ranks) -> int:
     values = {k: (cands[k][3] * z + cands[k][2]) * z + cands[k][1] for k in kept}
     floor = min(values.values())
-    tol = 1e-9 * (1.0 + abs(floor))
+    tol = TIE_BAND * (1.0 + abs(floor))
     kept = [k for k in kept if values[k] <= floor + tol]
     slopes = {k: 2.0 * cands[k][3] * z + cands[k][2] for k in kept}
     floor = min(slopes.values())
-    tol = 1e-9 * (1.0 + abs(floor))
+    tol = TIE_BAND * (1.0 + abs(floor))
     kept = [k for k in kept if slopes[k] <= floor + tol]
     floor = min(cands[k][3] for k in kept)
-    tol = 1e-9 * (1.0 + abs(floor))
+    tol = TIE_BAND * (1.0 + abs(floor))
     kept = [k for k in kept if cands[k][3] <= floor + tol]
     return min(kept, key=lambda k: ranks[k])
 
@@ -257,20 +287,23 @@ def _minimal_after(kept: list[int], z: float, cands, ranks) -> int:
 def _merge_segments(breakpoints, order, cands):
     """Drop sliver segments and fuse consecutive segments with equal paths.
 
-    A skipped sliver is absorbed by the segment that follows it; the first and
-    last segments are unbounded and therefore never slivers.
+    A skipped sliver is absorbed by the segment that follows it, or, if it is
+    the last, by the segment before it, so the result still ends at
+    ``breakpoints[-1]``.  A lone segment is never dropped.
     """
     bps = [breakpoints[0]]
     segs: list[int] = []
+    last = len(order) - 1
     for k, seg in enumerate(order):
         lo, hi = breakpoints[k], breakpoints[k + 1]
-        if hi - lo < MIN_BREAKPOINT_GAP * max(1.0, abs(lo)) and len(order) > 1:
+        if hi - lo < MIN_BREAKPOINT_GAP * max(1.0, abs(lo)) and (k < last or segs):
             continue
         if segs and cands[seg][0] == cands[segs[-1]][0]:
             bps[-1] = hi
             continue
         segs.append(seg)
         bps.append(hi)
+    bps[-1] = breakpoints[-1]
     return bps, segs
 
 
@@ -312,16 +345,26 @@ def envelope_bruteforce(candidates, line: DataLine) -> PiecewiseEnvelope:
     return PiecewiseEnvelope(tuple(bps), segments)
 
 
-def para_dtw(line: DataLine, n: int, m: int) -> PiecewiseEnvelope:
-    """Envelope of the optimal alignment loss for every ``z`` at once.
+def para_dtw(
+    line: DataLine, n: int, m: int, window: tuple[float, float] = (-math.inf, math.inf)
+) -> PiecewiseEnvelope:
+    """Envelope of the optimal alignment loss for every ``z`` in ``window`` at once.
 
     Fills an ``n x m`` table bottom-up.  Each cell's candidate paths extend
-    the somewhere-optimal paths of its three predecessor cells by one step;
-    the cell then keeps exactly the candidates that win a segment of its own
-    lower envelope.  The last cell's envelope is returned.
+    the paths its three predecessor cells kept by one step; the cell then
+    keeps exactly the candidates that win a segment of its own lower envelope
+    over ``window = (lo, hi)``.  The last cell's envelope is returned; it
+    covers ``[lo, hi]``, the whole line by default.
+
+    Pruning to the window is exact by Bellman's prefix principle: a path that
+    is optimal at ``(n, m)`` for some ``z`` in the window has a prefix that is
+    optimal, for that same ``z``, at every cell it passes through.
     """
     if line.n != n or line.m != m:
         raise ValueError("line split does not match requested dimensions")
+    lo, hi = window
+    if not lo <= hi:
+        raise ValueError(f"window ({lo}, {hi}) is empty")
     a1 = line.a1.tolist()
     a2 = line.a2.tolist()
     b1 = line.b1.tolist()
@@ -344,7 +387,7 @@ def para_dtw(line: DataLine, n: int, m: int) -> PiecewiseEnvelope:
                     for path, w0, w1, w2 in table[pi][pj]
                 ]
             ranks = _rank_candidates(cands)
-            bps, order = _walk_envelope(cands, ranks)
+            bps, order = _walk_envelope(cands, ranks, lo, hi)
             kept = []
             kept_idx = set()
             for k in order:

@@ -71,6 +71,12 @@ class TestTestCommand:
         assert proc.returncode == EXIT_INPUT
         assert "series x has a non-finite value" in proc.stderr
 
+    def test_constant_series_with_estimated_variance_is_input_error(self, tmp_path, capsys):
+        f = tmp_path / "flat.csv"
+        f.write_text("1,1.0,1.0,1.0\n")
+        assert main(["test", str(f), str(f)]) == EXIT_INPUT
+        assert "series x has zero sample variance" in capsys.readouterr().err
+
     def test_degenerate_pair_is_numeric_error(self, tmp_path, capsys):
         f = tmp_path / "same.csv"
         f.write_text("1,1.0,2.0,3.0\n")

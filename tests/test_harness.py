@@ -85,6 +85,10 @@ class TestGeneratePair:
         with pytest.raises(ValueError):
             estimated_variance_pair(np.array([1.0]), np.array([1.0, 2.0]))
 
+    def test_estimated_variance_rejects_constant_series(self):
+        with pytest.raises(ValueError, match="series y has zero sample variance"):
+            estimated_variance_pair(np.array([0.5, 1.0]), np.full(3, 2.0))
+
 
 class TestRunners:
     def test_single_trial_rate_is_zero_or_one(self):

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+from dtwsi import inference
 from dtwsi.dtw_core import AlignmentMatrix, TimeSeriesPair, dtw, enumerate_alignments, sign_vector
 from dtwsi.dtw_core import TestDirection as Direction
 from dtwsi.dtw_core import test_direction as direction_of
+from dtwsi.harness import ExperimentConfig, generate_pair
 from dtwsi.inference import (
     DegenerateDirectionError,
     RegionMassUnderflowError,
@@ -21,7 +23,7 @@ from dtwsi.inference import (
     z2_region,
 )
 from dtwsi.intervals import IntervalUnion
-from dtwsi.parametric import DataLine, envelope_bruteforce, z1_region
+from dtwsi.parametric import DataLine, envelope_bruteforce, para_dtw, z1_region
 
 INF = math.inf
 
@@ -31,10 +33,27 @@ def random_pair(seed, n=5, m=5):
     return TimeSeriesPair(rng.normal(size=n), rng.normal(size=m))
 
 
-def enumeration_region(pair, line, M_obs):
-    """Selection region from the brute-force envelope over every alignment."""
+def enumeration_region(pair, line, M_obs, window):
+    """Selection region from the brute-force envelope over every alignment.
+
+    Built on the whole line; ``conditional_test`` intersects it with ``window``.
+    """
     env = envelope_bruteforce(enumerate_alignments(pair.n, pair.m), line)
     return z1_region(env, M_obs)
+
+
+def full_line_region(pair, line, M_obs, window):
+    """Selection region from the full-line envelope, the windowed engine's oracle."""
+    return z1_region(para_dtw(line, pair.n, pair.m), M_obs)
+
+
+def assert_matches_full_line(pair):
+    fast = selective_p_value(pair)
+    slow = conditional_test(pair, full_line_region)
+    assert fast.p_selective == pytest.approx(slow.p_selective, rel=0, abs=1e-12)
+    assert len(fast.region) == len(slow.region)
+    for got, want in zip(fast.region, slow.region):
+        assert got == pytest.approx(want, rel=1e-12)
 
 
 def observed_direction(pair):
@@ -186,6 +205,32 @@ class TestSelectivePValue:
             fast = selective_p_value(pair)
             slow = conditional_test(pair, enumeration_region)
             assert fast.p_selective == pytest.approx(slow.p_selective, abs=1e-9)
+
+    def test_windowed_envelope_matches_full_line_at_n30(self):
+        # Sizes the enumeration oracle cannot reach, where pruning removes most
+        # candidates of every cell.
+        for k, delta in enumerate((0.0, 1.5)):
+            assert_matches_full_line(
+                generate_pair(ExperimentConfig(n=30, m=30, delta=delta, seed=0), k)
+            )
+
+    def test_windowed_envelope_matches_full_line_on_near_tie_at_window_start(self):
+        # Pair 2052 of the sim-batch benchmark at seed 4: two prefixes nearly
+        # tie at the window's lower end, which once lost the observed path.
+        config = ExperimentConfig(
+            n=10, m=10, delta=0.0, covariance="ar-correlation", trials=1, seed=1764776444
+        )
+        assert_matches_full_line(generate_pair(config, 0))
+
+    def test_empty_window_builds_no_envelope(self, monkeypatch):
+        def fail(*args):
+            raise AssertionError("envelope built for an empty window")
+
+        monkeypatch.setattr(inference, "para_dtw", fail)
+        pair = random_pair(1)
+        M, d = observed_direction(pair)
+        line = nuisance_decomposition(pair, d)
+        assert inference._envelope_region(pair, line, M, IntervalUnion.empty()).is_empty
 
     def test_statistic_is_alignment_statistic(self):
         pair = random_pair(99)

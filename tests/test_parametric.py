@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dtwsi.dtw_core import TimeSeriesPair, cost_matrix, dtw, enumerate_alignments
+from dtwsi.intervals import IntervalUnion
 from dtwsi.parametric import (
     DataLine,
     PiecewiseEnvelope,
@@ -96,6 +97,40 @@ class TestEnvelopeWalk:
         assert [cands[k][0] for k in order] == ["a", "c", "b"]
         assert bps[1] == pytest.approx(-1.0 / 3.0, abs=1e-12)
         assert bps[2] == pytest.approx(1.0, abs=1e-12)
+
+    def test_window_clips_walk(self):
+        # z^2 versus the constant 4 on windows: the bowl wins on (-2, 2)
+        cands = [("flat", 4.0, 0.0, 0.0), ("bowl", 0.0, 0.0, 1.0)]
+        ranks = _rank_candidates(cands)
+        bps, order = _walk_envelope(cands, ranks, 0.0, 5.0)
+        assert [cands[k][0] for k in order] == ["bowl", "flat"]
+        assert bps == [0.0, pytest.approx(2.0, abs=1e-12), 5.0]
+        # unbounded above: the walk must stop, not run out of iterations
+        bps, order = _walk_envelope(cands, ranks, 0.0, math.inf)
+        assert [cands[k][0] for k in order] == ["bowl", "flat"]
+        assert bps[-1] == math.inf
+        bps, order = _walk_envelope(cands, ranks, -math.inf, -3.0)
+        assert [cands[k][0] for k in order] == ["flat"] and bps == [-math.inf, -3.0]
+        # a trailing sliver is absorbed by the segment before it
+        bps, order = _walk_envelope(cands, ranks, 0.0, 2.0 + 1e-13)
+        assert [cands[k][0] for k in order] == ["bowl"] and bps == [0.0, 2.0 + 1e-13]
+        # a point window keeps its single segment
+        bps, order = _walk_envelope(cands, ranks, 1.0, 1.0)
+        assert [cands[k][0] for k in order] == ["bowl"] and bps == [1.0, 1.0]
+
+    def test_window_start_survives_near_tie_at_lo(self):
+        # From a sim-batch pair: "extra" is "base" plus one cell whose cost
+        # vanishes at z = 12.3913, just inside the window, so it touches
+        # "base" from above there.  At lo the two differ by 7e-9, within the
+        # walk's value band, and "extra" descends faster; picking it at lo
+        # would never be undone, since touching is not crossing.
+        cands = [
+            ("base", 10.202083468695054, -0.6324215080788926, 0.12778976626268523),
+            ("extra", 10.606388293021357, -0.6976776070323891, 0.13042290232390108),
+        ]
+        window = (12.389699272956635, 20.159893555691543)
+        bps, order = _walk_envelope(cands, _rank_candidates(cands), *window)
+        assert [cands[k][0] for k in order] == ["base"] and bps == list(window)
 
 
 class TestEnvelopeBruteforce:
@@ -240,6 +275,74 @@ class TestParaDtw:
                     assert val == pytest.approx(best, rel=1e-8, abs=1e-10)
 
 
+def solid_pieces(region):
+    """Pieces of positive width: a lone point carries no Gaussian mass."""
+    return [(lo, hi) for lo, hi in region if hi > lo]
+
+
+def assert_same_pieces(got, want, tol=1e-9):
+    assert len(got) == len(want), (got, want)
+    for piece_got, piece_want in zip(got, want):
+        for u, v in zip(piece_got, piece_want):
+            assert u == v or abs(u - v) <= tol * max(1.0, abs(v)), (got, want)
+
+
+def sample_windows(rng, env):
+    """Two-sided, one-sided, point, and breakpoint-anchored windows."""
+    finite = [b for b in env.breakpoints if math.isfinite(b)]
+    lo_edge = min(finite) - 1.0 if finite else -5.0
+    hi_edge = max(finite) + 1.0 if finite else 5.0
+    lo, hi = sorted(rng.uniform(lo_edge, hi_edge, size=2))
+    windows = [(lo, hi), (-math.inf, hi), (lo, math.inf), (lo, lo)]
+    if finite:
+        b = finite[int(rng.integers(len(finite)))]
+        windows += [(lo_edge, b), (b, hi_edge), (finite[0], finite[-1])]
+    return windows
+
+
+class TestWindowedParaDtw:
+    def test_regions_match_full_line_engine(self):
+        for seed in range(300):
+            rng = np.random.default_rng([11, seed])
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(2, 9))
+            line = random_line(rng, n, m)
+            full = para_dtw(line, n, m)
+            for lo, hi in sample_windows(rng, full):
+                windowed = para_dtw(line, n, m, (lo, hi))
+                assert (windowed.breakpoints[0], windowed.breakpoints[-1]) == (lo, hi)
+                window = IntervalUnion([(lo, hi)])
+                paths = {M.path: M for M, _ in full.segments + windowed.segments}
+                for M in paths.values():
+                    got = z1_region(windowed, M).intersect(window)
+                    want = z1_region(full, M).intersect(window)
+                    assert_same_pieces(solid_pieces(got), solid_pieces(want))
+                if lo == hi:
+                    assert windowed.value(lo) == pytest.approx(full.value(lo), rel=1e-9, abs=1e-12)
+
+    def test_value_equals_full_line_inside_and_raises_outside(self):
+        for seed in range(40):
+            rng = np.random.default_rng([12, seed])
+            n = int(rng.integers(2, 7))
+            m = int(rng.integers(2, 7))
+            line = random_line(rng, n, m)
+            full = para_dtw(line, n, m)
+            for lo, hi in sample_windows(rng, full):
+                windowed = para_dtw(line, n, m, (lo, hi))
+                inner = [z for z in sample_grid(full, 200) if lo <= z <= hi]
+                for z in inner + [z for z in (lo, hi) if math.isfinite(z)]:
+                    assert windowed.value(z) == pytest.approx(full.value(z), rel=1e-9, abs=1e-12)
+                for z in (lo - 1.0, hi + 1.0):
+                    if math.isfinite(z):
+                        with pytest.raises(ValueError):
+                            windowed.value(z)
+
+    def test_empty_window_rejected(self):
+        line = random_line(np.random.default_rng(14), 2, 2)
+        with pytest.raises(ValueError, match="empty"):
+            para_dtw(line, 2, 2, (1.0, 0.0))
+
+
 class TestZ1Region:
     def test_contains_selected_segment(self):
         rng = np.random.default_rng(8)
@@ -286,11 +389,17 @@ class TestZ1Region:
 
 
 class TestPiecewiseEnvelope:
-    def test_requires_full_cover(self):
+    def test_cover_runs_from_first_to_last_breakpoint(self):
         M = dtw(TimeSeriesPair([0.0], [0.0]))[0]
-        q = QuadraticLoss(0.0, 0.0, 0.0)
-        with pytest.raises(ValueError):
-            PiecewiseEnvelope((0.0, math.inf), ((M, q),))
+        q = QuadraticLoss(0.0, 0.0, 1.0)
+        env = PiecewiseEnvelope((0.0, math.inf), ((M, q),))
+        assert env.value(0.0) == 0.0 and env.value(3.0) == 9.0
+        with pytest.raises(ValueError, match="outside"):
+            env.value(-1.0)
+        with pytest.raises(ValueError, match="outside"):
+            env.segment_index_at(math.nan)
+        with pytest.raises(ValueError, match="non-decreasing"):
+            PiecewiseEnvelope((1.0, 0.0), ((M, q),))
 
     def test_segment_lookup(self):
         M = dtw(TimeSeriesPair([0.0], [0.0]))[0]
