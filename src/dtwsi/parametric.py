@@ -212,7 +212,10 @@ def _walk_envelope(
     and records segments only from ``lo`` on: picking among near-tied losses
     at ``lo`` is not robust, because two of them may never cross again (one
     touches the other just inside the window, or a cell cost vanishes at
-    ``lo``), so a wrong pick would never be corrected.
+    ``lo``), so a wrong pick would never be corrected.  The walk from
+    ``-inf`` alone would be correct for every window, but the start at
+    ``lo`` skips the crossings left of the window; without it the
+    benchmark's ``single-pair`` throughput drops by about a quarter.
     """
     K = len(cands)
     active = None

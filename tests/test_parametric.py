@@ -193,6 +193,7 @@ class TestParaDtw:
         env = para_dtw(line, 4, 4)
         env_bf = envelope_bruteforce(enumerate_alignments(4, 4), line)
         assert len(env.segments) == len(env_bf.segments)
+        assert env.breakpoints[0] == -math.inf and env.breakpoints[-1] == math.inf
         np.testing.assert_allclose(env.breakpoints[1:-1], env_bf.breakpoints[1:-1], rtol=1e-9)
         for (Ma, _), (Mb, _) in zip(env.segments, env_bf.segments):
             assert Ma.path == Mb.path
@@ -213,6 +214,7 @@ class TestParaDtw:
             m = int(rng.integers(2, 6))
             env = para_dtw(random_line(rng, n, m), n, m)
             bps = env.breakpoints
+            assert bps[0] == -math.inf and bps[-1] == math.inf
             assert all(b2 > b1 for b1, b2 in zip(bps, bps[1:]))
             assert len(env.segments) >= 1
 
