@@ -14,10 +14,10 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .dtw_core import TimeSeriesPair, cost_matrix, dtw
+from .dtw_core import TimeSeriesPair, bellman_predecessor, bellman_table, dtw
 from .inference import DEGENERATE_VARIANCE_TOL, InferenceResult, conditional_test
 from .intervals import IntervalUnion
-from .parametric import DataLine
+from .parametric import DataLine, cell_terms
 
 __all__ = [
     "solve_quadratic_leq",
@@ -60,34 +60,6 @@ def solve_quadratic_leq(alpha: float, beta: float, gamma: float) -> IntervalUnio
     return IntervalUnion([(-math.inf, r1), (r2, math.inf)])
 
 
-def _observed_predecessors(pair: TimeSeriesPair) -> list[list[tuple[int, int] | None]]:
-    """Bellman predecessor chosen at each cell of the observed cost table.
-
-    Ties prefer the diagonal, then the vertical, then the horizontal, matching
-    the alignment solver.
-    """
-    n, m = pair.n, pair.m
-    cost = cost_matrix(pair).tolist()
-    acc = [[0.0] * m for _ in range(n)]
-    pred: list[list[tuple[int, int] | None]] = [[None] * m for _ in range(n)]
-    acc[0][0] = cost[0][0]
-    for j in range(1, m):
-        acc[0][j] = acc[0][j - 1] + cost[0][j]
-        pred[0][j] = (0, j - 1)
-    for i in range(1, n):
-        acc[i][0] = acc[i - 1][0] + cost[i][0]
-        pred[i][0] = (i - 1, 0)
-        for j in range(1, m):
-            options = ((i - 1, j - 1), (i - 1, j), (i, j - 1))
-            best = min(acc[pi][pj] for pi, pj in options)
-            for pi, pj in options:
-                if acc[pi][pj] == best:
-                    pred[i][j] = (pi, pj)
-                    break
-            acc[i][j] = cost[i][j] + best
-    return pred
-
-
 def si_dtw_oc_constraints(pair: TimeSeriesPair, line: DataLine) -> list[tuple[float, float, float]]:
     """Per-cell quadratic constraints of the fully conditioned selection event.
 
@@ -97,38 +69,25 @@ def si_dtw_oc_constraints(pair: TimeSeriesPair, line: DataLine) -> list[tuple[fl
     triples with the convention ``alpha z^2 + beta z + gamma <= 0``.
     """
     n, m = pair.n, pair.m
-    a1 = line.a1.tolist()
-    a2 = line.a2.tolist()
-    b1 = line.b1.tolist()
-    b2 = line.b2.tolist()
-    pred = _observed_predecessors(pair)
-    # loss quadratic of the observed optimal sub-path, per cell
-    q0 = [[0.0] * m for _ in range(n)]
-    q1 = [[0.0] * m for _ in range(n)]
-    q2 = [[0.0] * m for _ in range(n)]
+    table = bellman_table(pair)
+    term = cell_terms(line)
+    # loss quadratic (w0, w1, w2) of the observed optimal sub-path, per cell
+    q = [[None] * m for _ in range(n)]
+    constraints = []
     for i in range(n):
         for j in range(m):
-            da = a1[i] - a2[j]
-            db = b1[i] - b2[j]
-            p = pred[i][j]
-            base = (0.0, 0.0, 0.0) if p is None else (q0[p[0]][p[1]], q1[p[0]][p[1]], q2[p[0]][p[1]])
-            q0[i][j] = base[0] + da * da
-            q1[i][j] = base[1] + 2.0 * da * db
-            q2[i][j] = base[2] + db * db
-    constraints = []
-    for i in range(1, n):
-        for j in range(1, m):
-            ci, cj = pred[i][j]
-            for pi, pj in ((i - 1, j - 1), (i - 1, j), (i, j - 1)):
-                if (pi, pj) == (ci, cj):
-                    continue
-                constraints.append(
-                    (
-                        q2[ci][cj] - q2[pi][pj],
-                        q1[ci][cj] - q1[pi][pj],
-                        q0[ci][cj] - q0[pi][pj],
-                    )
-                )
+            if i or j:
+                ci, cj = bellman_predecessor(table, i, j)
+                c0, c1, c2 = q[ci][cj]
+            else:
+                c0 = c1 = c2 = 0.0
+            t0, t1, t2 = term(i, j)
+            q[i][j] = (c0 + t0, c1 + t1, c2 + t2)
+            if i and j:
+                for pi, pj in ((i - 1, j - 1), (i - 1, j), (i, j - 1)):
+                    if (pi, pj) != (ci, cj):
+                        p0, p1, p2 = q[pi][pj]
+                        constraints.append((c2 - p2, c1 - p1, c0 - p0))
     return constraints
 
 

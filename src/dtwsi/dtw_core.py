@@ -17,6 +17,8 @@ __all__ = [
     "TimeSeriesPair",
     "AlignmentMatrix",
     "TestDirection",
+    "bellman_predecessor",
+    "bellman_table",
     "cost_matrix",
     "delannoy",
     "enumerate_alignments",
@@ -28,9 +30,6 @@ __all__ = [
 ]
 
 SYMMETRY_TOL = 1e-10
-
-# Bellman tie-break: preference order over predecessors of cell (i, j).
-_PRED_STEPS = ((-1, -1), (-1, 0), (0, -1))
 
 
 def _check_covariance(sigma: np.ndarray, size: int, name: str) -> np.ndarray:
@@ -153,16 +152,13 @@ class TestDirection:
     """Direction of the alignment test statistic in stacked-data space.
 
     ``eta`` has length ``n + m`` and contracts the stacked series to the
-    signed sum of aligned differences; ``s_hat`` is the sign pattern over the
-    row-major cost entries it was built from.
+    signed sum of aligned differences.
     """
 
     eta: np.ndarray
-    s_hat: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "eta", np.asarray(self.eta, dtype=float))
-        object.__setattr__(self, "s_hat", np.asarray(self.s_hat, dtype=float))
 
 
 def cost_matrix(pair: TimeSeriesPair) -> np.ndarray:
@@ -227,7 +223,10 @@ def enumerate_alignments(n: int, m: int) -> list[AlignmentMatrix]:
     return [AlignmentMatrix(n, m, p) for p in paths]
 
 
-def _dtw_table(cost: list[list[float]], n: int, m: int) -> list[list[float]]:
+def bellman_table(pair: TimeSeriesPair) -> list[list[float]]:
+    """Accumulated cost table: entry ``(i, j)`` is the optimal loss of ``x[:i+1]`` vs ``y[:j+1]``."""
+    n, m = pair.n, pair.m
+    cost = cost_matrix(pair).tolist()
     table = [[0.0] * m for _ in range(n)]
     table[0][0] = cost[0][0]
     for j in range(1, m):
@@ -247,24 +246,29 @@ def _dtw_table(cost: list[list[float]], n: int, m: int) -> list[list[float]]:
     return table
 
 
+def bellman_predecessor(table: list[list[float]], i: int, j: int) -> tuple[int, int]:
+    """Predecessor that the Bellman recursion picks for cell ``(i, j)``, 0-based.
+
+    Ties prefer the diagonal, then the vertical, then the horizontal.  This
+    is the one statement of the tie-break: the alignment solver and the
+    over-conditioned selection event both follow it.
+    """
+    if i == 0:
+        return i, j - 1
+    if j == 0:
+        return i - 1, j
+    d, v, h = table[i - 1][j - 1], table[i - 1][j], table[i][j - 1]
+    if d <= v and d <= h:
+        return i - 1, j - 1
+    if v <= h:
+        return i - 1, j
+    return i, j - 1
+
+
 def _traceback(table: list[list[float]], i: int, j: int) -> tuple[tuple[int, int], ...]:
     path = [(i + 1, j + 1)]
     while i > 0 or j > 0:
-        if i == 0:
-            j -= 1
-        elif j == 0:
-            i -= 1
-        else:
-            best = None
-            for di, dj in _PRED_STEPS:
-                v = table[i + di][j + dj]
-                if best is None or v < best:
-                    best = v
-            # first predecessor in preference order attaining the minimum
-            for di, dj in _PRED_STEPS:
-                if table[i + di][j + dj] == best:
-                    i, j = i + di, j + dj
-                    break
+        i, j = bellman_predecessor(table, i, j)
         path.append((i + 1, j + 1))
     path.reverse()
     return tuple(path)
@@ -273,12 +277,10 @@ def _traceback(table: list[list[float]], i: int, j: int) -> tuple[tuple[int, int
 def dtw(pair: TimeSeriesPair) -> tuple[AlignmentMatrix, float]:
     """Optimal alignment and its total squared cost via Bellman recursion.
 
-    Ties in the recursion are broken deterministically, preferring the
-    diagonal predecessor, then the vertical, then the horizontal.
+    Ties are broken by ``bellman_predecessor``.
     """
     n, m = pair.n, pair.m
-    cost = cost_matrix(pair).tolist()
-    table = _dtw_table(cost, n, m)
+    table = bellman_table(pair)
     path = _traceback(table, n - 1, m - 1)
     return AlignmentMatrix(n, m, path), table[n - 1][m - 1]
 
@@ -313,7 +315,7 @@ def test_direction(M: AlignmentMatrix, s: np.ndarray) -> TestDirection:
         sk = s[(i - 1) * M.m + (j - 1)]
         eta[i - 1] += sk
         eta[M.n + j - 1] -= sk
-    return TestDirection(eta=eta, s_hat=s)
+    return TestDirection(eta=eta)
 
 
 def test_statistic(direction: TestDirection, pair: TimeSeriesPair) -> float:

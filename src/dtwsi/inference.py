@@ -164,11 +164,13 @@ def _log_region_mass(region: IntervalUnion, mean: float, sigma: float) -> float:
     return top + math.log(sum(math.exp(v - top) for v in masses))
 
 
-def _truncated_sf(z_obs: float, sigma: float, region: IntervalUnion, mean: float = 0.0) -> float:
-    """Upper-tail probability of ``N(mean, sigma^2)`` restricted to ``region``."""
-    log_den = _log_region_mass(region, mean, sigma)
-    if log_den == -math.inf:
-        raise RegionMassUnderflowError("region mass underflow: region has zero width")
+def _truncated_sf(
+    z_obs: float, sigma: float, region: IntervalUnion, mean: float, log_den: float
+) -> float:
+    """Upper-tail probability of ``N(mean, sigma^2)`` restricted to ``region``.
+
+    ``log_den`` is the region's log-mass under that law.
+    """
     upper = region.clip_lower(z_obs)
     if upper.is_empty:
         return 0.0
@@ -203,7 +205,7 @@ def truncated_gaussian_sf(z_obs: float, sigma: float, region: IntervalUnion) -> 
         raise RegionMassUnderflowError(
             f"region mass underflow: log-mass {log_den:.2f} below {UNDERFLOW_LOG_MASS}"
         )
-    return _truncated_sf(z_obs, sigma, region)
+    return _truncated_sf(z_obs, sigma, region, 0.0, log_den)
 
 
 def truncated_gaussian_ci(
@@ -211,14 +213,14 @@ def truncated_gaussian_ci(
     sigma: float,
     region: IntervalUnion,
     alpha: float,
-    tol_scale: float = 1e-8,
 ) -> tuple[float, float]:
     """Equal-tailed interval for the mean of a truncated Gaussian.
 
     The bounds solve ``P_theta(Z >= z_obs | Z in region) = alpha/2`` and
-    ``1 - alpha/2`` by bisection; the tail probability is increasing in the
-    mean, so each equation has at most one root.  Brackets start two standard
-    deviations out and double until the tail crosses the target.
+    ``1 - alpha/2`` by bisection to ``1e-8 sigma``; the tail probability is
+    increasing in the mean, so each equation has at most one root.  Brackets
+    start two standard deviations out and double until the tail crosses the
+    target.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -226,7 +228,10 @@ def truncated_gaussian_ci(
         raise ValueError("truncation region is empty")
 
     def tail(theta: float) -> float:
-        return _truncated_sf(z_obs, sigma, region, mean=theta)
+        log_den = _log_region_mass(region, theta, sigma)
+        if log_den == -math.inf:
+            raise RegionMassUnderflowError("region mass underflow: region has zero width")
+        return _truncated_sf(z_obs, sigma, region, theta, log_den)
 
     # Equal-tailed bounds sit roughly sigma^2 / (z_obs - edge) away when the
     # statistic is close to a truncation endpoint, which can be hundreds of
@@ -245,7 +250,7 @@ def truncated_gaussian_ci(
     def solve(target: float) -> float:
         lo = bracket(target, -1.0, lambda t, tgt: t <= tgt)
         hi = bracket(target, +1.0, lambda t, tgt: t >= tgt)
-        while hi - lo > tol_scale * sigma:
+        while hi - lo > 1e-8 * sigma:
             mid = 0.5 * (lo + hi)
             if tail(mid) < target:
                 lo = mid

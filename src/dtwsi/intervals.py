@@ -19,8 +19,7 @@ class IntervalUnion:
 
     Endpoints may be ``-inf`` / ``+inf``.  Construction normalizes the input:
     intervals are sorted, and overlapping or touching intervals are merged.
-    Degenerate single-point intervals are kept (they matter for membership,
-    not for measure).
+    Degenerate single-point intervals are kept (they matter for membership).
     """
 
     __slots__ = ("_intervals",)
@@ -118,10 +117,6 @@ class IntervalUnion:
             if not covered:
                 return False
         return True
-
-    def measure(self) -> float:
-        """Total length (``inf`` if any piece is unbounded)."""
-        return sum(hi - lo for lo, hi in self._intervals)
 
     def clip_lower(self, bound: float) -> "IntervalUnion":
         """Intersection with ``[bound, +inf)``."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -22,6 +23,7 @@ __all__ = [
     "DataLine",
     "QuadraticLoss",
     "PiecewiseEnvelope",
+    "cell_terms",
     "quadratic_loss",
     "envelope_bruteforce",
     "para_dtw",
@@ -78,12 +80,6 @@ class DataLine:
     @property
     def b2(self) -> np.ndarray:
         return self.b[self.n :]
-
-    def x_at(self, z: float) -> np.ndarray:
-        return self.a1 + self.b1 * z
-
-    def y_at(self, z: float) -> np.ndarray:
-        return self.a2 + self.b2 * z
 
 
 @dataclass(frozen=True)
@@ -145,6 +141,24 @@ class PiecewiseEnvelope:
         return self.segments[self.segment_index_at(z)][1](z)
 
 
+def cell_terms(line: DataLine) -> Callable[[int, int], tuple[float, float, float]]:
+    """The per-cell loss term along the line, as a function of 0-based ``(i, j)``.
+
+    Cell ``(i, j)`` costs ``(da + db z)^2`` with ``da = a1[i] - a2[j]`` and
+    ``db = b1[i] - b2[j]``; the returned function gives its coefficients
+    ``(da^2, 2 da db, db^2)``.  Every path loss along the line is a sum of
+    these terms, and every loss computed in this package takes them from here.
+    """
+    a1, a2, b1, b2 = (v.tolist() for v in (line.a1, line.a2, line.b1, line.b2))
+
+    def term(i: int, j: int) -> tuple[float, float, float]:
+        da = a1[i] - a2[j]
+        db = b1[i] - b2[j]
+        return da * da, 2.0 * da * db, db * db
+
+    return term
+
+
 def quadratic_loss(M: AlignmentMatrix, line: DataLine) -> QuadraticLoss:
     """Loss quadratic of one alignment along the line.
 
@@ -155,17 +169,13 @@ def quadratic_loss(M: AlignmentMatrix, line: DataLine) -> QuadraticLoss:
         raise ValueError(
             f"alignment is {M.n}x{M.m} but line splits {line.n}+{line.m}"
         )
-    a1 = line.a1.tolist()
-    a2 = line.a2.tolist()
-    b1 = line.b1.tolist()
-    b2 = line.b2.tolist()
+    term = cell_terms(line)
     w0 = w1 = w2 = 0.0
     for i, j in M.path:
-        da = a1[i - 1] - a2[j - 1]
-        db = b1[i - 1] - b2[j - 1]
-        w0 += da * da
-        w1 += 2.0 * da * db
-        w2 += db * db
+        t0, t1, t2 = term(i - 1, j - 1)
+        w0 += t0
+        w1 += t1
+        w2 += t2
     return QuadraticLoss(w0, w1, w2)
 
 
@@ -199,12 +209,11 @@ def _crossing_root(d2: float, d1: float, d0: float, z: float) -> float:
 
 
 def _walk_envelope(
-    cands: list[tuple], ranks: list[int], lo: float = -math.inf, hi: float = math.inf
+    cands: list[tuple], lo: float = -math.inf, hi: float = math.inf
 ) -> tuple[list[float], list[int]]:
     """Trace the lower envelope of candidate quadratics over ``[lo, hi]``.
 
-    ``cands`` holds ``(path, w0, w1, w2)`` tuples; ``ranks`` is a total order
-    used to break exact ties deterministically.  Returns breakpoints from
+    ``cands`` holds ``(path, w0, w1, w2)`` tuples.  Returns breakpoints from
     ``lo`` to ``hi`` and the index of the minimal candidate per segment.
 
     At a finite ``lo`` the walk starts from the candidate minimal there when
@@ -220,16 +229,17 @@ def _walk_envelope(
     K = len(cands)
     active = None
     if lo > -math.inf:
-        at_lo = sorted(
-            ((w2 * lo + w1) * lo + w0, k) for k, (_, w0, w1, w2) in enumerate(cands)
-        )
-        v0, k0 = at_lo[0]
-        if K == 1 or at_lo[1][0] - v0 > TIE_BAND * (1.0 + abs(v0)):
+        at_lo = [(w2 * lo + w1) * lo + w0 for _, w0, w1, w2 in cands]
+        v0 = min(at_lo)
+        k0 = at_lo.index(v0)
+        at_lo[k0] = math.inf
+        if min(at_lo) - v0 > TIE_BAND * (1.0 + abs(v0)):
             active, z = k0, lo
     if active is None:
-        # minimal as z -> -inf: smallest curvature, then steepest descent, then offset
+        # minimal as z -> -inf: smallest curvature, then steepest descent,
+        # then offset; exact ties go to the smallest path
         active = min(
-            range(K), key=lambda k: (cands[k][3], -cands[k][2], cands[k][1], ranks[k])
+            range(K), key=lambda k: (cands[k][3], -cands[k][2], cands[k][1], cands[k][0])
         )
         z = -math.inf
     breakpoints = [lo]
@@ -253,12 +263,12 @@ def _walk_envelope(
         # all tie there, so multi-way crossings at one point are routine, and
         # roundoff perturbs the coincident roots.  Cluster every crossing
         # within noise of the earliest one and pick the candidate that is
-        # minimal just after: by value, then slope, then curvature, then rank,
-        # each compared with a tolerance band so roundoff cannot pre-empt the
-        # next criterion.
+        # minimal just after: by value, then slope, then curvature, each
+        # compared with a tolerance band so roundoff cannot pre-empt the next
+        # criterion; exact ties go to the smallest key (w2, w1, w0, path).
         gap = MIN_BREAKPOINT_GAP * max(1.0, abs(best))
         crossers = [k for k in range(K) if roots[k] <= best + gap]
-        nxt = _minimal_after(crossers, best, cands, ranks)
+        nxt = _minimal_after(crossers, best, cands)
         if best <= lo:
             order[-1] = nxt  # left of the window: only the segment holding lo counts
         else:
@@ -272,7 +282,7 @@ def _walk_envelope(
     return _merge_segments(breakpoints, order, cands)
 
 
-def _minimal_after(kept: list[int], z: float, cands, ranks) -> int:
+def _minimal_after(kept: list[int], z: float, cands) -> int:
     values = {k: (cands[k][3] * z + cands[k][2]) * z + cands[k][1] for k in kept}
     floor = min(values.values())
     tol = TIE_BAND * (1.0 + abs(floor))
@@ -284,7 +294,7 @@ def _minimal_after(kept: list[int], z: float, cands, ranks) -> int:
     floor = min(cands[k][3] for k in kept)
     tol = TIE_BAND * (1.0 + abs(floor))
     kept = [k for k in kept if cands[k][3] <= floor + tol]
-    return min(kept, key=lambda k: ranks[k])
+    return min(kept, key=lambda k: (cands[k][3], cands[k][2], cands[k][1], cands[k][0]))
 
 
 def _merge_segments(breakpoints, order, cands):
@@ -310,18 +320,13 @@ def _merge_segments(breakpoints, order, cands):
     return bps, segs
 
 
-def _cell_term(a1, a2, b1, b2, i, j):
-    da = a1[i] - a2[j]
-    db = b1[i] - b2[j]
-    return da * da, 2.0 * da * db, db * db
-
-
-def _rank_candidates(cands) -> list[int]:
-    order = sorted(range(len(cands)), key=lambda k: (cands[k][3], cands[k][2], cands[k][1], cands[k][0]))
-    ranks = [0] * len(cands)
-    for pos, k in enumerate(order):
-        ranks[k] = pos
-    return ranks
+def _envelope(bps, order, cands, n: int, m: int) -> PiecewiseEnvelope:
+    """The envelope whose segment ``k`` holds candidate ``cands[order[k]]``."""
+    segments = tuple(
+        (AlignmentMatrix(n, m, cands[k][0]), QuadraticLoss(cands[k][1], cands[k][2], cands[k][3]))
+        for k in order
+    )
+    return PiecewiseEnvelope(tuple(bps), segments)
 
 
 def envelope_bruteforce(candidates, line: DataLine) -> PiecewiseEnvelope:
@@ -338,14 +343,8 @@ def envelope_bruteforce(candidates, line: DataLine) -> PiecewiseEnvelope:
     for M in candidates:
         q = quadratic_loss(M, line)
         cands.append((M.path, q.w0, q.w1, q.w2))
-    ranks = _rank_candidates(cands)
-    bps, order = _walk_envelope(cands, ranks)
-    n, m = line.n, line.m
-    segments = tuple(
-        (AlignmentMatrix(n, m, cands[k][0]), QuadraticLoss(cands[k][1], cands[k][2], cands[k][3]))
-        for k in order
-    )
-    return PiecewiseEnvelope(tuple(bps), segments)
+    bps, order = _walk_envelope(cands)
+    return _envelope(bps, order, cands, line.n, line.m)
 
 
 def para_dtw(
@@ -368,15 +367,11 @@ def para_dtw(
     lo, hi = window
     if not lo <= hi:
         raise ValueError(f"window ({lo}, {hi}) is empty")
-    a1 = line.a1.tolist()
-    a2 = line.a2.tolist()
-    b1 = line.b1.tolist()
-    b2 = line.b2.tolist()
+    term = cell_terms(line)
     table: list[list[list[tuple]]] = [[None] * m for _ in range(n)]
-    last_walk = None
     for i in range(n):
         for j in range(m):
-            t0, t1, t2 = _cell_term(a1, a2, b1, b2, i, j)
+            t0, t1, t2 = term(i, j)
             cell = (i + 1, j + 1)
             if i == 0 and j == 0:
                 cands = [(((1, 1),), t0, t1, t2)]
@@ -389,23 +384,9 @@ def para_dtw(
                     if pi >= 0 and pj >= 0
                     for path, w0, w1, w2 in table[pi][pj]
                 ]
-            ranks = _rank_candidates(cands)
-            bps, order = _walk_envelope(cands, ranks, lo, hi)
-            kept = []
-            kept_idx = set()
-            for k in order:
-                if k not in kept_idx:
-                    kept_idx.add(k)
-                    kept.append(cands[k])
-            table[i][j] = kept
-            if i == n - 1 and j == m - 1:
-                last_walk = (bps, order, cands)
-    bps, order, cands = last_walk
-    segments = tuple(
-        (AlignmentMatrix(n, m, cands[k][0]), QuadraticLoss(cands[k][1], cands[k][2], cands[k][3]))
-        for k in order
-    )
-    return PiecewiseEnvelope(tuple(bps), segments)
+            bps, order = _walk_envelope(cands, lo, hi)
+            table[i][j] = [cands[k] for k in dict.fromkeys(order)]
+    return _envelope(bps, order, cands, n, m)
 
 
 def z1_region(env: PiecewiseEnvelope, M_obs: AlignmentMatrix) -> IntervalUnion:

@@ -14,7 +14,15 @@ from dtwsi.baselines import (
     si_dtw_oc_region,
     solve_quadratic_leq,
 )
-from dtwsi.dtw_core import TimeSeriesPair, cost_matrix, dtw, enumerate_alignments, sign_vector
+from dtwsi.dtw_core import (
+    TimeSeriesPair,
+    bellman_predecessor,
+    bellman_table,
+    cost_matrix,
+    dtw,
+    enumerate_alignments,
+    sign_vector,
+)
 from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.inference import nuisance_decomposition, selective_p_value, z2_region
 from dtwsi.intervals import IntervalUnion
@@ -123,18 +131,17 @@ class TestQuadraticConstraint:
         M, d, line = observed_line(pair)
         poly = si_dtw_oc_constraints(pair, line)
         # rebuild each constraint densely from the observed sub-paths
-        from dtwsi.baselines import _observed_predecessors
-
-        pred = _observed_predecessors(pair)
-        paths = {}
+        table = bellman_table(pair)
+        paths = {(0, 0): ((1, 1),)}
         for i in range(4):
             for j in range(4):
-                p = pred[i][j]
-                paths[(i, j)] = (paths[p] if p else tuple()) + ((i + 1, j + 1),)
+                if i or j:
+                    p = bellman_predecessor(table, i, j)
+                    paths[(i, j)] = paths[p] + ((i + 1, j + 1),)
         dense = []
         for i in range(1, 4):
             for j in range(1, 4):
-                chosen = pred[i][j]
+                chosen = bellman_predecessor(table, i, j)
                 for other in ((i - 1, j - 1), (i - 1, j), (i, j - 1)):
                     if other == chosen:
                         continue
@@ -151,7 +158,7 @@ def subproblem_optimal_everywhere(pair, line, z, tol=1e-9):
     """Direct check: every sub-problem keeps its observed optimizer at z."""
     n, m = pair.n, pair.m
     obs_cost = cost_matrix(pair)
-    x, y = line.x_at(z), line.y_at(z)
+    x, y = line.a1 + line.b1 * z, line.a2 + line.b2 * z
     for i in range(1, n + 1):
         for j in range(1, m + 1):
             sub_obs = TimeSeriesPair(pair.x[:i], pair.y[:j])
@@ -283,7 +290,7 @@ class TestOcPValue:
         rng = np.random.default_rng(13)
         pair = TimeSeriesPair(rng.normal(size=5), rng.normal(size=5))
         M, d, line = observed_line(pair)
-        oc = si_dtw_oc_region(pair, line).intersect(z2_region(line, M, d.s_hat))
+        oc = si_dtw_oc_region(pair, line).intersect(z2_region(line, M, sign_vector(M, pair)))
         assert oc == si_dtw_oc_p_value(pair).region
 
 

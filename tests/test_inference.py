@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtri
 
 from dtwsi import inference
+from dtwsi.baselines import si_dtw_oc_p_value
 from dtwsi.dtw_core import AlignmentMatrix, TimeSeriesPair, dtw, enumerate_alignments, sign_vector
 from dtwsi.dtw_core import TestDirection as Direction
 from dtwsi.dtw_core import test_direction as direction_of
@@ -76,7 +77,7 @@ class TestNuisanceDecomposition:
         pair = random_pair(3, n=3, m=2)
         eta = np.zeros(5)
         eta[0] = 1.0
-        line = nuisance_decomposition(pair, Direction(eta=eta, s_hat=np.zeros(6)))
+        line = nuisance_decomposition(pair, Direction(eta=eta))
         np.testing.assert_allclose(line.b, eta)
         expected = pair.stacked().copy()
         expected[0] = 0.0
@@ -115,7 +116,7 @@ class TestZ2Region:
             M, d = observed_direction(pair)
             line = nuisance_decomposition(pair, d)
             z_obs = float(d.eta @ pair.stacked())
-            region = z2_region(line, M, d.s_hat)
+            region = z2_region(line, M, sign_vector(M, pair))
             assert region.contains(z_obs, tol=1e-9 * max(1.0, abs(z_obs)))
 
 
@@ -288,3 +289,42 @@ class TestConfidenceInterval:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             truncated_gaussian_ci(0.0, 1.0, IntervalUnion.real_line(), 1.5)
+
+
+def rescaled_pair(c):
+    """The n=m=12 pair from ``default_rng(1)`` mapped to ``(cx, cy, c^2 I)``."""
+    rng = np.random.default_rng(1)
+    x, y = rng.normal(size=12), rng.normal(size=12)
+    cov = c * c * np.eye(12)
+    return TimeSeriesPair(c * x, c * y, cov, cov)
+
+
+class TestRescaling:
+    """Both exact p-values are invariant under ``(x, y, Sigma) -> (cx, cy, c^2 Sigma)``."""
+
+    @pytest.mark.parametrize("c", [1e-4, 1e4, 1e8])
+    def test_si_dtw_is_scale_free(self, c):
+        want = selective_p_value(rescaled_pair(1.0)).p_selective
+        assert want == pytest.approx(0.2910983813454969, rel=0, abs=1e-15)
+        got = selective_p_value(rescaled_pair(c)).p_selective
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="absolute envelope tolerances lose the observed path at c=1e-6",
+    )
+    def test_si_dtw_at_small_scale(self):
+        want = selective_p_value(rescaled_pair(1.0)).p_selective
+        got = selective_p_value(rescaled_pair(1e-6)).p_selective
+        assert got == pytest.approx(want, rel=0, abs=1e-9)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=RuntimeError,
+        reason="absolute curvature snap and containment slack drop z_obs at c=1e6",
+    )
+    def test_si_dtw_oc_at_large_scale(self):
+        want = si_dtw_oc_p_value(rescaled_pair(1.0)).p_selective
+        got = si_dtw_oc_p_value(rescaled_pair(1e6)).p_selective
+        assert got == pytest.approx(want, rel=0, abs=1e-9)

@@ -11,8 +11,8 @@ from dtwsi.parametric import (
     DataLine,
     PiecewiseEnvelope,
     QuadraticLoss,
-    _rank_candidates,
     _walk_envelope,
+    cell_terms,
     envelope_bruteforce,
     para_dtw,
     quadratic_loss,
@@ -58,7 +58,7 @@ class TestQuadraticLoss:
         for M in enumerate_alignments(4, 5)[::17]:
             q = quadratic_loss(M, line)
             for z in rng.uniform(-5, 5, size=100):
-                pair = TimeSeriesPair(line.x_at(z), line.y_at(z))
+                pair = TimeSeriesPair(line.a1 + line.b1 * z, line.a2 + line.b2 * z)
                 direct = float((M.matrix() * cost_matrix(pair)).sum())
                 assert abs(q(z) - direct) < 1e-9 * max(1.0, direct)
 
@@ -77,14 +77,14 @@ class TestEnvelopeWalk:
     def test_two_parabolas_crossing_twice(self):
         # z^2 versus the constant 4: crossings at exactly -2 and 2
         cands = [("flat", 4.0, 0.0, 0.0), ("bowl", 0.0, 0.0, 1.0)]
-        bps, order = _walk_envelope(cands, _rank_candidates(cands))
+        bps, order = _walk_envelope(cands)
         assert [cands[k][0] for k in order] == ["flat", "bowl", "flat"]
         assert bps[1] == pytest.approx(-2.0, abs=1e-12)
         assert bps[2] == pytest.approx(2.0, abs=1e-12)
 
     def test_tangent_parabolas_do_not_cross(self):
         cands = [("low", 0.0, 0.0, 1.0), ("touch", 1e-14, 0.0, 1.0)]
-        bps, order = _walk_envelope(cands, _rank_candidates(cands))
+        bps, order = _walk_envelope(cands)
         assert len(order) == 1
         assert cands[order[0]][0] == "low"
 
@@ -93,7 +93,7 @@ class TestEnvelopeWalk:
         # below the constant on (-1/3, 1); at the shared point z = 1 both
         # lines cross it, and the steeper descent (slope -1) must win.
         cands = [("a", 1.0, 0.0, 0.0), ("b", 2.0, -1.0, 0.0), ("c", 0.0, -2.0, 3.0)]
-        bps, order = _walk_envelope(cands, _rank_candidates(cands))
+        bps, order = _walk_envelope(cands)
         assert [cands[k][0] for k in order] == ["a", "c", "b"]
         assert bps[1] == pytest.approx(-1.0 / 3.0, abs=1e-12)
         assert bps[2] == pytest.approx(1.0, abs=1e-12)
@@ -101,21 +101,20 @@ class TestEnvelopeWalk:
     def test_window_clips_walk(self):
         # z^2 versus the constant 4 on windows: the bowl wins on (-2, 2)
         cands = [("flat", 4.0, 0.0, 0.0), ("bowl", 0.0, 0.0, 1.0)]
-        ranks = _rank_candidates(cands)
-        bps, order = _walk_envelope(cands, ranks, 0.0, 5.0)
+        bps, order = _walk_envelope(cands, 0.0, 5.0)
         assert [cands[k][0] for k in order] == ["bowl", "flat"]
         assert bps == [0.0, pytest.approx(2.0, abs=1e-12), 5.0]
         # unbounded above: the walk must stop, not run out of iterations
-        bps, order = _walk_envelope(cands, ranks, 0.0, math.inf)
+        bps, order = _walk_envelope(cands, 0.0, math.inf)
         assert [cands[k][0] for k in order] == ["bowl", "flat"]
         assert bps[-1] == math.inf
-        bps, order = _walk_envelope(cands, ranks, -math.inf, -3.0)
+        bps, order = _walk_envelope(cands, -math.inf, -3.0)
         assert [cands[k][0] for k in order] == ["flat"] and bps == [-math.inf, -3.0]
         # a trailing sliver is absorbed by the segment before it
-        bps, order = _walk_envelope(cands, ranks, 0.0, 2.0 + 1e-13)
+        bps, order = _walk_envelope(cands, 0.0, 2.0 + 1e-13)
         assert [cands[k][0] for k in order] == ["bowl"] and bps == [0.0, 2.0 + 1e-13]
         # a point window keeps its single segment
-        bps, order = _walk_envelope(cands, ranks, 1.0, 1.0)
+        bps, order = _walk_envelope(cands, 1.0, 1.0)
         assert [cands[k][0] for k in order] == ["bowl"] and bps == [1.0, 1.0]
 
     def test_window_start_survives_near_tie_at_lo(self):
@@ -129,7 +128,7 @@ class TestEnvelopeWalk:
             ("extra", 10.606388293021357, -0.6976776070323891, 0.13042290232390108),
         ]
         window = (12.389699272956635, 20.159893555691543)
-        bps, order = _walk_envelope(cands, _rank_candidates(cands), *window)
+        bps, order = _walk_envelope(cands, *window)
         assert [cands[k][0] for k in order] == ["base"] and bps == list(window)
 
 
@@ -203,7 +202,7 @@ class TestParaDtw:
         line = random_line(rng, 4, 4)
         env = para_dtw(line, 4, 4)
         for z in sample_grid(env, 50):
-            pair = TimeSeriesPair(line.x_at(z), line.y_at(z))
+            pair = TimeSeriesPair(line.a1 + line.b1 * z, line.a2 + line.b2 * z)
             _, dist = dtw(pair)
             assert env.value(z) == pytest.approx(dist, rel=1e-8, abs=1e-10)
 
@@ -221,17 +220,14 @@ class TestParaDtw:
     def test_pruning_sound_per_cell(self):
         # Rebuild the table and compare every cell's kept set against the
         # brute-force envelope of the corresponding sub-problem.
-        from dtwsi.parametric import _cell_term
-
         rng = np.random.default_rng(7)
         n = m = 4
         line = random_line(rng, n, m)
-        a1, a2 = line.a1.tolist(), line.a2.tolist()
-        b1, b2 = line.b1.tolist(), line.b2.tolist()
+        term = cell_terms(line)
         table = [[None] * m for _ in range(n)]
         for i in range(n):
             for j in range(m):
-                t0, t1, t2 = _cell_term(a1, a2, b1, b2, i, j)
+                t0, t1, t2 = term(i, j)
                 if i == 0 and j == 0:
                     cands = [(((1, 1),), t0, t1, t2)]
                 else:
@@ -243,7 +239,7 @@ class TestParaDtw:
                             ext = path + ((i + 1, j + 1),)
                             seen.setdefault(ext, (ext, w0 + t0, w1 + t1, w2 + t2))
                     cands = list(seen.values())
-                bps, order = _walk_envelope(cands, _rank_candidates(cands))
+                bps, order = _walk_envelope(cands)
                 kept, idx = [], set()
                 for k in order:
                     if k not in idx:
@@ -382,7 +378,7 @@ class TestZ1Region:
         # stay clear of breakpoints, where ties make membership ambiguous
         zs = [z for z in zs if all(abs(z - b) > 1e-6 for b in finite)]
         for z in zs:
-            fresh, dist = dtw(TimeSeriesPair(line.x_at(z), line.y_at(z)))
+            fresh, dist = dtw(TimeSeriesPair(line.a1 + line.b1 * z, line.a2 + line.b2 * z))
             loss_obs = quadratic_loss(M_obs, line)(z)
             if region.contains(z):
                 assert loss_obs == pytest.approx(dist, rel=1e-8)
