@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .dtw_core import TimeSeriesPair, bellman_predecessor, bellman_table, dtw
-from .inference import DEGENERATE_VARIANCE_TOL, InferenceResult, conditional_test
+from .inference import InferenceResult, conditional_test
 from .intervals import IntervalUnion
 from .parametric import DataLine, cell_terms
 
@@ -28,9 +28,9 @@ __all__ = [
     "data_splitting_test",
 ]
 
-# Leading coefficients this small relative to the rest are roundoff residue of
-# a linear constraint; solving them as quadratics would manufacture crossings
-# at astronomical |z|.
+# Leading coefficients this small relative to the rest (floored at 1 sigma
+# unit) are roundoff residue of a linear constraint; solving them as quadratics
+# would manufacture crossings at astronomical |z|.
 CURVATURE_SNAP = 1e-12
 
 
@@ -94,21 +94,13 @@ def si_dtw_oc_constraints(pair: TimeSeriesPair, line: DataLine) -> list[tuple[fl
 def si_dtw_oc_region(pair: TimeSeriesPair, line: DataLine) -> IntervalUnion:
     """Line region where every alignment sub-problem keeps its observed optimizer.
 
-    Intersects the closed-form solutions of all per-cell constraints.  The
-    observed data satisfies its own selection event, so the result must
-    contain the observed line parameter; anything else is an internal error.
+    Intersects the closed-form solutions of all per-cell constraints.
     """
     region = IntervalUnion.real_line()
     for alpha, beta, gamma in si_dtw_oc_constraints(pair, line):
         region = region.intersect(solve_quadratic_leq(alpha, beta, gamma))
         if region.is_empty:
             break
-    bb = float(line.b @ line.b)
-    z_obs = float(line.b @ (pair.stacked() - line.a)) / bb
-    if not region.contains(z_obs, tol=1e-8 * max(1.0, abs(z_obs))):
-        raise RuntimeError(
-            "over-conditioned region does not contain the observed data; internal error"
-        )
     return region
 
 
@@ -177,7 +169,7 @@ def data_splitting_test(pair: TimeSeriesPair) -> float:
     sub_x = pair.sigma_x[1::2, 1::2]
     sub_y = pair.sigma_y[1::2, 1::2]
     var = float(eta[:n_inf] @ sub_x @ eta[:n_inf] + eta[n_inf:] @ sub_y @ eta[n_inf:])
-    if var <= DEGENERATE_VARIANCE_TOL:
+    if var == 0.0:
         if stat == 0.0:
             return 0.5
         return 0.0 if stat > 0.0 else 1.0

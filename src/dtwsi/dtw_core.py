@@ -36,8 +36,8 @@ def _check_covariance(sigma: np.ndarray, size: int, name: str) -> np.ndarray:
     sigma = np.asarray(sigma, dtype=float)
     if sigma.shape != (size, size):
         raise ValueError(f"{name} must be {size}x{size}, got {sigma.shape}")
-    if not np.all(np.abs(sigma - sigma.T) <= SYMMETRY_TOL):
-        raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL}")
+    if not np.abs(sigma - sigma.T).max() <= SYMMETRY_TOL * np.abs(sigma).max():
+        raise ValueError(f"{name} is not symmetric within {SYMMETRY_TOL} of its largest entry")
     try:
         chol = np.linalg.cholesky(sigma)
     except np.linalg.LinAlgError as exc:

@@ -42,14 +42,13 @@ __all__ = [
     "selective_confidence_interval",
 ]
 
-DEGENERATE_VARIANCE_TOL = 1e-12
 # Total log-mass below this is indistinguishable from zero in double precision.
 UNDERFLOW_LOG_MASS = -700.0
 
 
 def _membership_tol(sigma: float, z_obs: float) -> float:
     """Endpoint slack when checking that ``z_obs`` lies in its truncation region."""
-    return 1e-8 * max(1.0, sigma, abs(z_obs))
+    return 1e-8 * max(sigma, abs(z_obs))
 
 
 class DegenerateDirectionError(ValueError):
@@ -94,7 +93,8 @@ def nuisance_decomposition(pair: TimeSeriesPair, direction: TestDirection) -> Da
     """
     eta = direction.eta
     var = pair.covariance_quadratic_form(eta)
-    if var <= DEGENERATE_VARIANCE_TOL:
+    # eta counts signs, so var is exactly 0.0 when every aligned difference is
+    if var == 0.0:
         raise DegenerateDirectionError(
             "degenerate direction: the aligned series are identical on the path"
         )
@@ -275,9 +275,10 @@ def conditional_test(
 
     ``selection_region(pair, line, M_obs, window)`` returns the line
     parameters at which the selection event conditioned on holds; it is the
-    only step in which the exact methods differ.  ``window`` is the
-    sign-preserving region, computed first: the result is intersected with
-    it, so a builder need only be exact inside it.
+    only step in which the exact methods differ.  ``line`` is the data line
+    in sigma units (see below) and ``window`` the sign-preserving region on
+    it, computed first: the result is intersected with it, so a builder need
+    only be exact inside it.
     """
     M_obs, _ = dtw(pair)
     s_obs = sign_vector(M_obs, pair)
@@ -285,9 +286,14 @@ def conditional_test(
     z_obs = test_statistic(direction, pair)
     line = nuisance_decomposition(pair, direction)
     sigma = math.sqrt(pair.covariance_quadratic_form(direction.eta))
-    window = z2_region(line, M_obs, s_obs)
-    region = selection_region(pair, line, M_obs, window).intersect(window)
-    if region.is_empty:
+    # Build the regions in sigma units.  Scaling by a power of two is exact, so
+    # only the tolerance comparisons, now dimensionless, see the change.
+    scale = math.ldexp(1.0, math.frexp(sigma)[1])
+    unit = DataLine(line.a / scale, line.b, pair.n)
+    window = z2_region(unit, M_obs, s_obs)
+    region = selection_region(pair, unit, M_obs, window).intersect(window)
+    region = IntervalUnion((lo * scale, hi * scale) for lo, hi in region)
+    if not region.contains(z_obs, tol=_membership_tol(sigma, z_obs)):
         raise RuntimeError(
             "selection region lost the observed statistic; this indicates an upstream bug"
         )

@@ -30,6 +30,7 @@ __all__ = [
     "z1_region",
 ]
 
+# Tolerances in sigma units: ``inference.conditional_test`` scales the line.
 # Breakpoints closer than this are collapsed into a single transition.
 MIN_BREAKPOINT_GAP = 1e-12
 # Quadratic intersections with a discriminant this close to zero are treated
@@ -237,10 +238,8 @@ def _walk_envelope(
             active, z = k0, lo
     if active is None:
         # minimal as z -> -inf: smallest curvature, then steepest descent,
-        # then offset; exact ties go to the smallest path
-        active = min(
-            range(K), key=lambda k: (cands[k][3], -cands[k][2], cands[k][1], cands[k][0])
-        )
+        # then offset; exact ties go to the first, Bellman's pick in para_dtw
+        active = min(range(K), key=lambda k: (cands[k][3], -cands[k][2], cands[k][1]))
         z = -math.inf
     breakpoints = [lo]
     order = [active]
@@ -265,7 +264,7 @@ def _walk_envelope(
         # within noise of the earliest one and pick the candidate that is
         # minimal just after: by value, then slope, then curvature, each
         # compared with a tolerance band so roundoff cannot pre-empt the next
-        # criterion; exact ties go to the smallest key (w2, w1, w0, path).
+        # criterion; exact ties go to the smallest (w2, w1, w0), then the first.
         gap = MIN_BREAKPOINT_GAP * max(1.0, abs(best))
         crossers = [k for k in range(K) if roots[k] <= best + gap]
         nxt = _minimal_after(crossers, best, cands)
@@ -294,7 +293,7 @@ def _minimal_after(kept: list[int], z: float, cands) -> int:
     floor = min(cands[k][3] for k in kept)
     tol = TIE_BAND * (1.0 + abs(floor))
     kept = [k for k in kept if cands[k][3] <= floor + tol]
-    return min(kept, key=lambda k: (cands[k][3], cands[k][2], cands[k][1], cands[k][0]))
+    return min(kept, key=lambda k: (cands[k][3], cands[k][2], cands[k][1]))
 
 
 def _merge_segments(breakpoints, order, cands):
@@ -377,7 +376,8 @@ def para_dtw(
                 cands = [(((1, 1),), t0, t1, t2)]
             else:
                 # Extensions of different predecessor cells end in different
-                # penultimate cells, so no candidate path appears twice.
+                # penultimate cells, so no candidate path appears twice.  They
+                # are listed in the order of Bellman's tie-break.
                 cands = [
                     (path + (cell,), w0 + t0, w1 + t1, w2 + t2)
                     for pi, pj in ((i - 1, j - 1), (i - 1, j), (i, j - 1))

@@ -47,6 +47,18 @@ class TestTimeSeriesPair:
         with pytest.raises(ValueError, match="symmetric"):
             TimeSeriesPair([0.0, 1.0], [0.0], sigma_x=bad)
 
+    def test_symmetry_is_relative_to_the_largest_entry(self):
+        # An asymmetry far below an absolute 1e-10 still fails at a tiny scale.
+        bad = 1e-12 * np.array([[1.0, 0.5], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            TimeSeriesPair([0.0, 1.0], [0.0], sigma_x=bad)
+        # A roundoff-sized relative asymmetry passes at a large scale.
+        a = np.random.default_rng(0).normal(size=(3, 3))
+        cov = 1e12 * (a @ a.T + np.eye(3))
+        cov[0, 1] *= 1.0 + 1e-15
+        assert abs(cov[0, 1] - cov[1, 0]) > 1e-10
+        TimeSeriesPair(np.zeros(3), [0.0], sigma_x=cov)
+
     def test_rejects_indefinite_covariance(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(ValueError, match="positive definite"):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
 from dtwsi import inference
@@ -233,6 +234,15 @@ class TestSelectivePValue:
         line = nuisance_decomposition(pair, d)
         assert inference._envelope_region(pair, line, M, IntervalUnion.empty()).is_empty
 
+    def test_exact_tie_on_rounded_data_keeps_observed_path(self):
+        # Rounded to one decimal, two paths differ only by a cell whose cost
+        # vanishes along the whole data line; the envelope must carry the
+        # one Bellman's tie-break picks.
+        rng = np.random.default_rng(10056)
+        x, y = rng.normal(size=20), rng.normal(size=20)
+        res = selective_p_value(TimeSeriesPair(np.round(x, 1), np.round(y, 1)))
+        assert res.region.contains(res.z_obs)
+
     def test_statistic_is_alignment_statistic(self):
         pair = random_pair(99)
         res = selective_p_value(pair)
@@ -291,12 +301,16 @@ class TestConfidenceInterval:
             truncated_gaussian_ci(0.0, 1.0, IntervalUnion.real_line(), 1.5)
 
 
-def rescaled_pair(c):
-    """The n=m=12 pair from ``default_rng(1)`` mapped to ``(cx, cy, c^2 I)``."""
-    rng = np.random.default_rng(1)
+def rescaled_pair(c, seed=1):
+    """The n=m=12 pair from ``default_rng(seed)`` mapped to ``(cx, cy, c^2 I)``."""
+    rng = np.random.default_rng(seed)
     x, y = rng.normal(size=12), rng.normal(size=12)
     cov = c * c * np.eye(12)
     return TimeSeriesPair(c * x, c * y, cov, cov)
+
+
+EXACT_TESTS = [selective_p_value, si_dtw_oc_p_value]
+SEEDS = st.integers(0, 2**16)
 
 
 class TestRescaling:
@@ -309,22 +323,59 @@ class TestRescaling:
         got = selective_p_value(rescaled_pair(c)).p_selective
         assert got == pytest.approx(want, rel=0, abs=1e-12)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=RuntimeError,
-        reason="absolute envelope tolerances lose the observed path at c=1e-6",
-    )
     def test_si_dtw_at_small_scale(self):
         want = selective_p_value(rescaled_pair(1.0)).p_selective
         got = selective_p_value(rescaled_pair(1e-6)).p_selective
         assert got == pytest.approx(want, rel=0, abs=1e-9)
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=RuntimeError,
-        reason="absolute curvature snap and containment slack drop z_obs at c=1e6",
-    )
     def test_si_dtw_oc_at_large_scale(self):
         want = si_dtw_oc_p_value(rescaled_pair(1.0)).p_selective
         got = si_dtw_oc_p_value(rescaled_pair(1e6)).p_selective
         assert got == pytest.approx(want, rel=0, abs=1e-9)
+
+    @pytest.mark.parametrize("test", EXACT_TESTS)
+    def test_at_tiny_scale(self, test):
+        want = test(rescaled_pair(1.0)).p_selective
+        got = test(rescaled_pair(1e-8)).p_selective
+        assert got == pytest.approx(want, rel=0, abs=1e-9)
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="exactly tangent concave constraints have a discriminant of about "
+        "+-1e-19, so roundoff decides whether they punch a hole about 1e-7 sigma wide",
+    )
+    def test_si_dtw_oc_at_tangent_constraints(self):
+        want = si_dtw_oc_p_value(rescaled_pair(1.0)).p_selective
+        got = si_dtw_oc_p_value(rescaled_pair(1e4)).p_selective
+        assert got == pytest.approx(want, rel=0, abs=1e-9)
+
+    @settings(max_examples=30)
+    @given(seed=SEEDS, k=st.integers(-40, 40))
+    def test_power_of_two_scaling_is_exact(self, seed, k):
+        c = math.ldexp(1.0, k)
+        for test in EXACT_TESTS:
+            want = test(rescaled_pair(1.0, seed))
+            got = test(rescaled_pair(c, seed))
+            assert got.p_selective == want.p_selective
+            assert got.region.intervals == tuple((lo * c, hi * c) for lo, hi in want.region)
+
+    @settings(max_examples=30)
+    @given(seed=SEEDS, decades=st.floats(-8.0, 8.0))
+    def test_si_dtw_is_scale_free_over_sixteen_decades(self, seed, decades):
+        want = selective_p_value(rescaled_pair(1.0, seed)).p_selective
+        got = selective_p_value(rescaled_pair(10.0**decades, seed)).p_selective
+        assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    @settings(max_examples=30)
+    @given(seed=SEEDS, shift=st.floats(-1e8, 1e8))
+    def test_si_dtw_under_common_shift(self, seed, shift):
+        pair = rescaled_pair(1.0, seed)
+        want = selective_p_value(pair)
+        shifted = TimeSeriesPair(pair.x + shift, pair.y + shift)
+        got = selective_p_value(shifted)
+        # Rounding moves each shifted value by at most half its ulp, and the
+        # p-value has a bounded slope in the data, in sigma units.  Over 300
+        # random pairs and shifts the factor below stayed under 4e3.
+        ulp = math.ulp(max(np.abs(shifted.x).max(), np.abs(shifted.y).max()))
+        assert abs(got.p_selective - want.p_selective) <= 1e5 * ulp / want.sigma

@@ -88,6 +88,15 @@ class TestEnvelopeWalk:
         assert len(order) == 1
         assert cands[order[0]][0] == "low"
 
+    def test_exact_tie_goes_to_first_candidate(self):
+        # Bellman's tie-break, not the path order: para_dtw lists candidates
+        # diagonal, vertical, horizontal.
+        cands = [("z", 1.0, -1.0, 1.0), ("a", 1.0, -1.0, 1.0), ("b", 0.0, 2.0, 0.0)]
+        bps, order = _walk_envelope(cands)
+        assert [cands[k][0] for k in order] == ["b", "z", "b"]
+        bps, order = _walk_envelope(cands, 0.0, 1.0)
+        assert [cands[k][0] for k in order] == ["b", "z"]
+
     def test_triple_crossing_at_common_point(self):
         # 1, 2 - z, and 3z^2 - 2z all pass through (1, 1).  The parabola dips
         # below the constant on (-1/3, 1); at the shared point z = 1 both
