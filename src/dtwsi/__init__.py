@@ -18,7 +18,7 @@ from .dtw_core import (
     delannoy,
     dtw,
     enumerate_alignments,
-    omega_apply,
+    path_differences,
     sign_vector,
     test_direction,
     test_statistic,
@@ -37,6 +37,7 @@ from .inference import (
     DegenerateDirectionError,
     InferenceResult,
     RegionMassUnderflowError,
+    SelectionEventError,
     conditional_test,
     nuisance_decomposition,
     selective_confidence_interval,

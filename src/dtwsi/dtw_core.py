@@ -1,9 +1,9 @@
 """Deterministic dynamic time warping machinery.
 
 Cost matrices, warping-path enumeration and validation, the Bellman-recursion
-alignment solver, the sparse index map between stacked series and row-major
-cost entries, and the data-dependent direction of the alignment test
-statistic.
+alignment solver, the differences of stacked series at the cells of a path,
+and the data-dependent direction of the alignment test statistic.  A sign
+pattern holds one entry per path cell, in path order.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ __all__ = [
     "delannoy",
     "enumerate_alignments",
     "dtw",
-    "omega_apply",
+    "path_differences",
     "sign_vector",
     "test_direction",
     "test_statistic",
@@ -112,8 +112,8 @@ class AlignmentMatrix:
     """A monotone warping path between series of lengths ``n`` and ``m``.
 
     The path is stored as an ordered tuple of 1-based index pairs running from
-    ``(1, 1)`` to ``(n, m)`` with steps in ``{(1,0), (0,1), (1,1)}``.  Dense
-    and vectorized binary views are built on demand.
+    ``(1, 1)`` to ``(n, m)`` with steps in ``{(1,0), (0,1), (1,1)}``.  Values
+    on the path (aligned differences, signs) are arrays in path order.
     """
 
     n: int
@@ -131,20 +131,6 @@ class AlignmentMatrix:
         for (i0, j0), (i1, j1) in zip(self.path, self.path[1:]):
             if (i1 - i0, j1 - j0) not in ((1, 0), (0, 1), (1, 1)):
                 raise ValueError(f"illegal step {(i0, j0)} -> {(i1, j1)}")
-
-    def matrix(self) -> np.ndarray:
-        """Dense binary ``n x m`` view with a one per path cell."""
-        out = np.zeros((self.n, self.m))
-        for i, j in self.path:
-            out[i - 1, j - 1] = 1.0
-        return out
-
-    def vec(self) -> np.ndarray:
-        """Row-major vectorization of length ``n * m``."""
-        out = np.zeros(self.n * self.m)
-        for i, j in self.path:
-            out[(i - 1) * self.m + (j - 1)] = 1.0
-        return out
 
 
 @dataclass(frozen=True)
@@ -285,34 +271,33 @@ def dtw(pair: TimeSeriesPair) -> tuple[AlignmentMatrix, float]:
     return AlignmentMatrix(n, m, path), table[n - 1][m - 1]
 
 
-def omega_apply(v: np.ndarray, n: int, m: int) -> np.ndarray:
-    """Row-major differences ``v_i - v_{n+j}`` without materializing the map."""
+def path_differences(M: AlignmentMatrix, v: np.ndarray) -> np.ndarray:
+    """Differences ``v[i-1] - v[n+j-1]`` of stacked ``v`` at the path cells, in path order."""
     v = np.asarray(v, dtype=float)
-    return np.subtract.outer(v[:n], v[n:]).ravel()
+    cells = np.array(M.path) - 1
+    return v[cells[:, 0]] - v[M.n + cells[:, 1]]
 
 
 def sign_vector(M: AlignmentMatrix, pair: TimeSeriesPair) -> np.ndarray:
-    """Entrywise signs of the aligned differences, zero off the path.
+    """Signs of the aligned differences, one per path cell, in path order.
 
     ``sign(0) = 0`` exactly: the comparison is against floating-point zero,
     so matched equal entries contribute nothing to the test direction.
     """
-    diffs = omega_apply(pair.stacked(), pair.n, pair.m)
-    return M.vec() * np.sign(diffs)
+    return np.sign(path_differences(M, pair.stacked()))
 
 
 def test_direction(M: AlignmentMatrix, s: np.ndarray) -> TestDirection:
-    """Contraction direction built from a path and a sign pattern.
+    """Contraction direction built from a path and its sign pattern.
 
-    Equivalent to multiplying the signed, path-masked row-major difference map
-    down to stacked-data space; assembled sparsely from the path cells.
+    ``s`` holds one sign per path cell, in path order; each cell adds its
+    sign to the entry of ``x_i`` and subtracts it from that of ``y_j``.
     """
     s = np.asarray(s, dtype=float)
-    if s.shape != (M.n * M.m,):
-        raise ValueError(f"sign vector must have length {M.n * M.m}, got {s.shape}")
+    if s.shape != (len(M.path),):
+        raise ValueError(f"sign vector must have length {len(M.path)}, got {s.shape}")
     eta = np.zeros(M.n + M.m)
-    for i, j in M.path:
-        sk = s[(i - 1) * M.m + (j - 1)]
+    for (i, j), sk in zip(M.path, s):
         eta[i - 1] += sk
         eta[M.n + j - 1] -= sk
     return TestDirection(eta=eta)

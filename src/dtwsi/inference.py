@@ -21,7 +21,7 @@ from .dtw_core import (
     TestDirection,
     TimeSeriesPair,
     dtw,
-    omega_apply,
+    path_differences,
     sign_vector,
     test_direction,
     test_statistic,
@@ -32,6 +32,7 @@ from .parametric import DataLine, para_dtw, z1_region
 __all__ = [
     "DegenerateDirectionError",
     "RegionMassUnderflowError",
+    "SelectionEventError",
     "InferenceResult",
     "nuisance_decomposition",
     "z2_region",
@@ -57,6 +58,10 @@ class DegenerateDirectionError(ValueError):
 
 class RegionMassUnderflowError(ArithmeticError):
     """The truncation region carries no representable Gaussian mass."""
+
+
+class SelectionEventError(ArithmeticError):
+    """The data sit on a tie of the selection event, which has zero width there."""
 
 
 @dataclass(frozen=True)
@@ -107,14 +112,13 @@ def nuisance_decomposition(pair: TimeSeriesPair, direction: TestDirection) -> Da
 def z2_region(line: DataLine, M: AlignmentMatrix, s_obs: np.ndarray) -> IntervalUnion:
     """Parameters where the sign pattern of aligned differences is preserved.
 
-    Solves the linear system requiring every signed, path-masked difference to
-    stay non-negative along the line; the solution is a single (possibly
-    empty or unbounded) interval.
+    Solves the linear system requiring every signed difference at a path cell
+    (``s_obs`` holds one sign per cell) to stay non-negative along the line;
+    the solution is a single (possibly empty or unbounded) interval.
     """
     s_obs = np.asarray(s_obs, dtype=float)
-    mask = M.vec()
-    nu1 = s_obs * mask * omega_apply(line.a, M.n, M.m)
-    nu2 = s_obs * mask * omega_apply(line.b, M.n, M.m)
+    nu1 = s_obs * path_differences(M, line.a)
+    nu2 = s_obs * path_differences(M, line.b)
     if np.any((nu2 == 0.0) & (nu1 < 0.0)):
         return IntervalUnion.empty()
     pos = nu2 > 0.0
@@ -156,22 +160,18 @@ def _log_region_mass(region: IntervalUnion, mean: float, sigma: float) -> float:
     masses = [
         _log_mass_standard((lo - mean) / sigma, (hi - mean) / sigma) for lo, hi in region
     ]
-    if not masses:
-        return -math.inf
     top = max(masses)
     if top == -math.inf:
         return -math.inf
     return top + math.log(sum(math.exp(v - top) for v in masses))
 
 
-def _truncated_sf(
-    z_obs: float, sigma: float, region: IntervalUnion, mean: float, log_den: float
-) -> float:
-    """Upper-tail probability of ``N(mean, sigma^2)`` restricted to ``region``.
+def _truncated_sf(upper: IntervalUnion, sigma: float, mean: float, log_den: float) -> float:
+    """Upper-tail probability of ``N(mean, sigma^2)`` restricted to a region.
 
-    ``log_den`` is the region's log-mass under that law.
+    ``upper`` is the region clipped below at the observed statistic and
+    ``log_den`` the whole region's log-mass under that law.
     """
-    upper = region.clip_lower(z_obs)
     if upper.is_empty:
         return 0.0
     log_num = _log_region_mass(upper, mean, sigma)
@@ -205,7 +205,7 @@ def truncated_gaussian_sf(z_obs: float, sigma: float, region: IntervalUnion) -> 
         raise RegionMassUnderflowError(
             f"region mass underflow: log-mass {log_den:.2f} below {UNDERFLOW_LOG_MASS}"
         )
-    return _truncated_sf(z_obs, sigma, region, 0.0, log_den)
+    return _truncated_sf(region.clip_lower(z_obs), sigma, 0.0, log_den)
 
 
 def truncated_gaussian_ci(
@@ -220,18 +220,27 @@ def truncated_gaussian_ci(
     ``1 - alpha/2`` by bisection to ``1e-8 sigma``; the tail probability is
     increasing in the mean, so each equation has at most one root.  Brackets
     start two standard deviations out and double until the tail crosses the
-    target.
+    target.  With ``z_obs`` at either end of the region (within the membership
+    tolerance) the tail is 1 or 0 for every mean: no bound exists, and
+    ``ArithmeticError`` is raised before any tail is evaluated.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
     if region.is_empty:
         raise ValueError("truncation region is empty")
+    upper = region.clip_lower(z_obs)
+    if upper == region or all(lo == hi for lo, hi in upper):
+        end = "lower" if upper == region else "upper"
+        raise ArithmeticError(
+            f"no confidence bound: z_obs={z_obs} lies at the {end} end of its truncation "
+            f"region {region}, so the tail probability is the same for every mean"
+        )
 
     def tail(theta: float) -> float:
         log_den = _log_region_mass(region, theta, sigma)
         if log_den == -math.inf:
             raise RegionMassUnderflowError("region mass underflow: region has zero width")
-        return _truncated_sf(z_obs, sigma, region, theta, log_den)
+        return _truncated_sf(upper, sigma, theta, log_den)
 
     # Equal-tailed bounds sit roughly sigma^2 / (z_obs - edge) away when the
     # statistic is close to a truncation endpoint, which can be hundreds of
@@ -294,8 +303,9 @@ def conditional_test(
     region = selection_region(pair, unit, M_obs, window).intersect(window)
     region = IntervalUnion((lo * scale, hi * scale) for lo, hi in region)
     if not region.contains(z_obs, tol=_membership_tol(sigma, z_obs)):
-        raise RuntimeError(
-            "selection region lost the observed statistic; this indicates an upstream bug"
+        raise SelectionEventError(
+            f"selection region {region} misses the observed statistic {z_obs}: the data "
+            "sit on a tie of the selection event, which has zero width there"
         )
     p = truncated_gaussian_sf(z_obs, sigma, region)
     return InferenceResult(z_obs=z_obs, sigma=sigma, region=region, p_selective=p, alignment=M_obs)

@@ -196,13 +196,10 @@ def _crossing_root(d2: float, d1: float, d0: float, z: float) -> float:
     if disc <= TANGENCY_TOL:
         return math.inf
     sq = math.sqrt(disc)
+    # disc > TANGENCY_TOL, so |q| >= sq / 2 > 0
     q = -0.5 * (d1 + sq) if d1 >= 0.0 else -0.5 * (d1 - sq)
-    if q != 0.0:
-        ra = q / d2
-        rb = d0 / q
-    else:
-        ra = 0.0
-        rb = -d1 / d2
+    ra = q / d2
+    rb = d0 / q
     if ra > rb:
         ra, rb = rb, ra
     r = rb if d2 > 0.0 else ra

@@ -27,6 +27,7 @@ from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.inference import nuisance_decomposition, selective_p_value, z2_region
 from dtwsi.intervals import IntervalUnion
 from dtwsi.parametric import DataLine, quadratic_loss
+from dense_views import path_cost
 
 INF = math.inf
 
@@ -165,10 +166,8 @@ def subproblem_optimal_everywhere(pair, line, z, tol=1e-9):
             M_obs, _ = dtw(sub_obs)
             sub_z = TimeSeriesPair(x[:i], y[:j])
             C = cost_matrix(sub_z)
-            loss_obs = float((M_obs.matrix() * C).sum())
-            best = min(
-                float((M.matrix() * C).sum()) for M in enumerate_alignments(i, j)
-            )
+            loss_obs = path_cost(M_obs, C)
+            best = min(path_cost(M, C) for M in enumerate_alignments(i, j))
             if loss_obs > best + tol * max(1.0, best):
                 return False
     return True
@@ -189,9 +188,9 @@ class TestOcRegion:
             (2, 1): ((1, 1), (2, 1)),
         }
         obs_losses = {
-            c: float(
-                (dtw(TimeSeriesPair(pair.x[: c[0]], pair.y[: c[1]]))[0].matrix()
-                 * cost_matrix(TimeSeriesPair(pair.x[: c[0]], pair.y[: c[1]]))).sum()
+            c: path_cost(
+                dtw(TimeSeriesPair(pair.x[: c[0]], pair.y[: c[1]]))[0],
+                cost_matrix(TimeSeriesPair(pair.x[: c[0]], pair.y[: c[1]])),
             )
             for c in sub
         }

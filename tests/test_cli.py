@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dtwsi
@@ -83,6 +84,30 @@ class TestTestCommand:
         code = main(["test", str(f), str(f), "--variance", "known"])
         assert code == EXIT_NUMERIC
         assert "degenerate" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "seed, method, reason",
+        [
+            (10023, "si-dtw", "tie of the selection event"),
+            (10023, "si-dtw-oc", "tie of the selection event"),
+            (10002, "si-dtw-oc", "tie of the selection event"),
+            (10020, "si-dtw", "same for every mean"),
+        ],
+    )
+    def test_data_on_a_tie_is_numeric_error(self, tmp_path, capsys, seed, method, reason):
+        # n=m=20 pairs rounded to one decimal: a zero-width selection event,
+        # or a region whose lower end is the statistic (no interval bound)
+        rng = np.random.default_rng(seed)
+        files = []
+        for name in ("a", "b"):
+            path = tmp_path / f"{name}.csv"
+            values = np.round(rng.normal(size=20), 1)
+            path.write_text("1," + ",".join(repr(float(v)) for v in values) + "\n")
+            files.append(str(path))
+        code = main(["test", *files, "--method", method, "--variance", "known"])
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and reason in err
 
 
 class TestSimulateCommand:

@@ -11,29 +11,28 @@ from dtwsi.dtw_core import (
     delannoy,
     dtw,
     enumerate_alignments,
-    omega_apply,
+    path_differences,
     sign_vector,
 )
 from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.dtw_core import test_statistic as statistic_of
-
-
-def omega_matrix(n, m):
-    """Dense ``(n*m) x (n+m)`` map from stacked series to row-major differences.
-
-    Row ``(i-1)*m + (j-1)`` carries ``+1`` in column ``i-1`` and ``-1`` in
-    column ``n + j - 1``; the reference that ``omega_apply`` is checked against.
-    """
-    out = np.zeros((n * m, n + m))
-    rows = np.arange(n * m)
-    out[rows, rows // m] = 1.0
-    out[rows, n + rows % m] = -1.0
-    return out
+from dense_views import omega_matrix, path_cost, path_vec, scatter_path
 
 
 def brute_force_distance(pair):
     C = cost_matrix(pair)
-    return min(float((M.matrix() * C).sum()) for M in enumerate_alignments(pair.n, pair.m))
+    return min(path_cost(M, C) for M in enumerate_alignments(pair.n, pair.m))
+
+
+def random_pairs(count, seed):
+    """Pairs of random shapes; every third is rounded to integers, so ties occur."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n, m = rng.integers(1, 7, size=2)
+        x, y = rng.normal(size=n), rng.normal(size=m)
+        if k % 3 == 0:
+            x, y = np.round(x), np.round(y)
+        yield TimeSeriesPair(x, y)
 
 
 class TestTimeSeriesPair:
@@ -89,8 +88,8 @@ class TestTimeSeriesPair:
 class TestAlignmentMatrix:
     def test_valid_path(self):
         M = AlignmentMatrix(2, 3, ((1, 1), (1, 2), (2, 3)))
-        assert M.vec().tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 1.0]
-        assert M.matrix().sum() == 3
+        assert M.path == ((1, 1), (1, 2), (2, 3))
+        assert path_vec(M).tolist() == [1.0, 1.0, 0.0, 0.0, 0.0, 1.0]
 
     @pytest.mark.parametrize(
         "path",
@@ -174,7 +173,7 @@ class TestDtw:
             pair = TimeSeriesPair(rng.normal(size=n), rng.normal(size=m))
             M, dist = dtw(pair)
             assert dist == pytest.approx(brute_force_distance(pair), rel=1e-9)
-            assert dist == pytest.approx(float((M.matrix() * cost_matrix(pair)).sum()), rel=1e-12)
+            assert dist == pytest.approx(path_cost(M, cost_matrix(pair)), rel=1e-12)
 
 
 class TestOmega:
@@ -194,15 +193,31 @@ class TestOmega:
         v = rng.normal(size=5)
         n, m = 2, 3
         want = [v[i] - v[n + j] for i in range(n) for j in range(m)]
-        np.testing.assert_allclose(omega_apply(v, n, m), want)
         np.testing.assert_allclose(omega_matrix(n, m) @ v, want)
+
+
+class TestPathDifferences:
+    def test_hand_case(self):
+        M = AlignmentMatrix(2, 3, ((1, 1), (1, 2), (2, 3)))
+        v = np.array([1.0, 2.0, 10.0, 20.0, 30.0])
+        assert path_differences(M, v).tolist() == [1 - 10, 1 - 20, 2 - 30]
+
+    def test_matches_dense_map_on_the_path(self):
+        for pair in random_pairs(30, seed=8):
+            M, _ = dtw(pair)
+            v = pair.stacked()
+            dense = omega_matrix(pair.n, pair.m) @ v
+            # the same subtraction, scattered: bit-identical on the path, zero off it
+            assert np.array_equal(
+                scatter_path(M, path_differences(M, v)), path_vec(M) * dense
+            )
 
 
 class TestSignVector:
     def test_hand_case(self):
         M = AlignmentMatrix(2, 2, ((1, 1), (2, 2)))
         pair = TimeSeriesPair([1.0, 3.0], [0.0, 5.0])
-        np.testing.assert_allclose(sign_vector(M, pair), [1.0, 0.0, 0.0, -1.0])
+        assert sign_vector(M, pair).tolist() == [1.0, -1.0]
 
     def test_zero_on_equal_entries(self):
         x = np.array([0.5, 0.5, 2.0])
@@ -214,37 +229,37 @@ class TestSignVector:
         pair = TimeSeriesPair(rng.normal(size=3), rng.normal(size=4))
         M, _ = dtw(pair)
         s = sign_vector(M, pair)
-        vec = M.vec()
-        diffs = omega_apply(pair.stacked(), 3, 4)
-        for k in range(12):
-            if vec[k] == 0.0 or diffs[k] == 0.0:
-                assert s[k] == 0.0
-            else:
-                assert s[k] == np.sign(diffs[k])
+        assert s.shape == (len(M.path),)
+        for (i, j), sk in zip(M.path, s):
+            diff = pair.x[i - 1] - pair.y[j - 1]
+            assert sk == (0.0 if diff == 0.0 else np.sign(diff))
 
 
 class TestTestDirection:
     def test_hand_case(self):
         M = AlignmentMatrix(2, 2, ((1, 1), (2, 2)))
-        d = direction_of(M, np.array([1.0, 0.0, 0.0, 1.0]))
+        d = direction_of(M, np.array([1.0, 1.0]))
         np.testing.assert_allclose(d.eta, [1.0, 1.0, -1.0, -1.0])
 
     def test_zero_signs_give_zero_direction(self):
         M = AlignmentMatrix(2, 2, ((1, 1), (2, 2)))
-        assert not direction_of(M, np.zeros(4)).eta.any()
+        assert not direction_of(M, np.zeros(2)).eta.any()
 
     def test_matches_dense_formula(self):
-        rng = np.random.default_rng(4)
-        pair = TimeSeriesPair(rng.normal(size=3), rng.normal(size=5))
-        M, _ = dtw(pair)
-        s = sign_vector(M, pair)
-        dense = (M.vec() @ np.diag(s) @ omega_matrix(3, 5)).T
-        np.testing.assert_allclose(direction_of(M, s).eta, dense)
+        # eta counts signs, so the sparse and dense sums agree exactly
+        for pair in random_pairs(40, seed=9):
+            M, _ = dtw(pair)
+            s = sign_vector(M, pair)
+            dense = (path_vec(M) @ np.diag(scatter_path(M, s)) @ omega_matrix(pair.n, pair.m)).T
+            assert np.array_equal(direction_of(M, s).eta, dense)
 
     def test_length_mismatch(self):
         M = AlignmentMatrix(2, 2, ((1, 1), (2, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="length 2"):
             direction_of(M, np.zeros(3))
+        # the dense row-major length is rejected too
+        with pytest.raises(ValueError, match="length 2"):
+            direction_of(M, np.zeros(4))
 
 
 class TestTestStatistic:
@@ -274,8 +289,8 @@ class TestTestStatistic:
     def test_dimension_mismatch(self):
         pair = TimeSeriesPair([0.0, 1.0], [0.0])
         M = AlignmentMatrix(2, 2, ((1, 1), (2, 2)))
-        with pytest.raises(ValueError):
-            statistic_of(direction_of(M, np.zeros(4)), pair)
+        with pytest.raises(ValueError, match="direction has length 4"):
+            statistic_of(direction_of(M, np.zeros(2)), pair)
 
 
 class TestInvariants:
@@ -285,8 +300,8 @@ class TestInvariants:
             pair = TimeSeriesPair(rng.normal(size=5), rng.normal(size=4))
             M, _ = dtw(pair)
             s = sign_vector(M, pair)
-            rebuilt = s * omega_apply(pair.stacked(), 5, 4)
-            assert (rebuilt[M.vec() == 1.0] >= 0.0).all()
+            rebuilt = s * path_differences(M, pair.stacked())
+            assert (rebuilt >= 0.0).all()
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -16,6 +16,7 @@ from dtwsi.harness import ExperimentConfig, generate_pair
 from dtwsi.inference import (
     DegenerateDirectionError,
     RegionMassUnderflowError,
+    SelectionEventError,
     conditional_test,
     nuisance_decomposition,
     selective_confidence_interval,
@@ -26,6 +27,7 @@ from dtwsi.inference import (
 )
 from dtwsi.intervals import IntervalUnion
 from dtwsi.parametric import DataLine, envelope_bruteforce, para_dtw, z1_region
+from dense_views import omega_matrix, path_vec, scatter_path
 
 INF = math.inf
 
@@ -61,6 +63,29 @@ def assert_matches_full_line(pair):
 def observed_direction(pair):
     M, _ = dtw(pair)
     return M, direction_of(M, sign_vector(M, pair))
+
+
+def rounded_pair(seed):
+    """The n=m=20 pair from ``default_rng(seed)``, rounded to 0.1; rounding makes ties."""
+    rng = np.random.default_rng(seed)
+    x, y = rng.normal(size=20), rng.normal(size=20)
+    return TimeSeriesPair(np.round(x, 1), np.round(y, 1))
+
+
+def dense_z2_window(line, M, s):
+    """The paper's sign-preserving window, written over all ``n*m`` cells.
+
+    ``s`` is scattered into the row-major layout; off-path cells carry zero.
+    """
+    omega = omega_matrix(M.n, M.m)
+    signed = scatter_path(M, s) * path_vec(M)
+    nu1, nu2 = signed * (omega @ line.a), signed * (omega @ line.b)
+    if np.any((nu2 == 0.0) & (nu1 < 0.0)):
+        return IntervalUnion.empty()
+    pos, neg = nu2 > 0.0, nu2 < 0.0
+    lo = float(np.max(-nu1[pos] / nu2[pos])) if pos.any() else -INF
+    hi = float(np.min(-nu1[neg] / nu2[neg])) if neg.any() else INF
+    return IntervalUnion.empty() if lo > hi else IntervalUnion([(lo, hi)])
 
 
 class TestNuisanceDecomposition:
@@ -119,6 +144,26 @@ class TestZ2Region:
             z_obs = float(d.eta @ pair.stacked())
             region = z2_region(line, M, sign_vector(M, pair))
             assert region.contains(z_obs, tol=1e-9 * max(1.0, abs(z_obs)))
+
+    def test_matches_dense_formula(self):
+        rng = np.random.default_rng(21)
+        zero_signs = 0
+        for k in range(60):
+            n, m = rng.integers(2, 8, size=2)
+            x, y = rng.normal(size=n), rng.normal(size=m)
+            if k % 2 == 0:
+                x, y = np.round(x), np.round(y)
+            pair = TimeSeriesPair(x, y)
+            M, d = observed_direction(pair)
+            if not d.eta.any():
+                continue
+            s = sign_vector(M, pair)
+            zero_signs += (s == 0.0).any()
+            line = nuisance_decomposition(pair, d)
+            # random lines too, so that the window is often bounded on both sides
+            for probe in (line, DataLine(rng.normal(size=n + m), rng.normal(size=n + m), n)):
+                assert z2_region(probe, M, s).intervals == dense_z2_window(probe, M, s).intervals
+        assert zero_signs >= 5
 
 
 class TestTruncatedGaussianSf:
@@ -258,6 +303,18 @@ class TestSelectivePValue:
         assert 0.008 <= hits / 120 <= 0.12
 
 
+class TestSelectionEventError:
+    """Data on a tie of the selection event give a typed error, not an internal one."""
+
+    @pytest.mark.parametrize(
+        "seed, test",
+        [(10023, selective_p_value), (10023, si_dtw_oc_p_value), (10002, si_dtw_oc_p_value)],
+    )
+    def test_zero_width_event_on_rounded_data(self, seed, test):
+        with pytest.raises(SelectionEventError, match="tie of the selection event"):
+            test(rounded_pair(seed))
+
+
 class TestConfidenceInterval:
     def test_untruncated_reduction(self):
         z_obs, sigma, alpha = 1.3, 2.0, 0.05
@@ -299,6 +356,28 @@ class TestConfidenceInterval:
     def test_alpha_validation(self):
         with pytest.raises(ValueError):
             truncated_gaussian_ci(0.0, 1.0, IntervalUnion.real_line(), 1.5)
+
+    @pytest.mark.parametrize(
+        "z_obs, where",
+        [(1.0, "lower"), (1.0 - 1e-12, "lower"), (4.0, "upper"), (4.0 + 1e-12, "upper")],
+    )
+    def test_constant_tail_fails_before_any_tail_evaluation(self, monkeypatch, z_obs, where):
+        def fail(*args):
+            raise AssertionError("tail evaluated")
+
+        monkeypatch.setattr(inference, "_log_region_mass", fail)
+        region = IntervalUnion([(1.0, 2.0), (3.0, 4.0)])
+        with pytest.raises(ArithmeticError, match=f"{where} end.*same for every mean"):
+            truncated_gaussian_ci(z_obs, 1.0, region, 0.05)
+
+    def test_statistic_at_lower_end_of_region(self):
+        # si-dtw gives p = 1 on [14.7, 15.56] with z_obs a roundoff below
+        # 14.7: no mean moves the tail
+        pair = rounded_pair(10020)
+        res = selective_p_value(pair)
+        assert res.p_selective == 1.0 and res.z_obs <= res.region.intervals[0][0]
+        with pytest.raises(ArithmeticError, match="same for every mean"):
+            selective_confidence_interval(pair, 0.05, result=res)
 
 
 def rescaled_pair(c, seed=1):
