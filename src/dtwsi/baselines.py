@@ -16,7 +16,7 @@ from scipy.special import ndtr
 
 from .dtw_core import TimeSeriesPair, bellman_predecessor, bellman_table, dtw
 from .inference import InferenceResult, conditional_test
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, solve_quadratic_leq
 from .parametric import DataLine, cell_terms
 
 __all__ = [
@@ -27,38 +27,6 @@ __all__ = [
     "permutation_test",
     "data_splitting_test",
 ]
-
-# Leading coefficients this small relative to the rest (floored at 1 sigma
-# unit) are roundoff residue of a linear constraint; solving them as quadratics
-# would manufacture crossings at astronomical |z|.
-CURVATURE_SNAP = 1e-12
-
-
-def solve_quadratic_leq(alpha: float, beta: float, gamma: float) -> IntervalUnion:
-    """Solution set of ``alpha z^2 + beta z + gamma <= 0`` in closed form."""
-    scale = max(1.0, abs(beta), abs(gamma))
-    if abs(alpha) <= CURVATURE_SNAP * scale:
-        if beta == 0.0:
-            return IntervalUnion.real_line() if gamma <= 0.0 else IntervalUnion.empty()
-        r = -gamma / beta
-        if beta > 0.0:
-            return IntervalUnion([(-math.inf, r)])
-        return IntervalUnion([(r, math.inf)])
-    disc = beta * beta - 4.0 * alpha * gamma
-    if disc < 0.0:
-        return IntervalUnion.empty() if alpha > 0.0 else IntervalUnion.real_line()
-    sq = math.sqrt(disc)
-    q = -0.5 * (beta + sq) if beta >= 0.0 else -0.5 * (beta - sq)
-    if q != 0.0:
-        r1, r2 = q / alpha, gamma / q
-    else:
-        r1, r2 = 0.0, -beta / alpha
-    if r1 > r2:
-        r1, r2 = r2, r1
-    if alpha > 0.0:
-        return IntervalUnion([(r1, r2)])
-    return IntervalUnion([(-math.inf, r1), (r2, math.inf)])
-
 
 def si_dtw_oc_constraints(pair: TimeSeriesPair, line: DataLine) -> list[tuple[float, float, float]]:
     """Per-cell quadratic constraints of the fully conditioned selection event.

@@ -175,6 +175,8 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     rng = np.random.default_rng(args.seed)
+    # windows draw from their own stream, so each seed keeps its instances
+    window_rng = np.random.default_rng([args.seed, 1])
     n, m = args.n, args.m
     alignments = enumerate_alignments(n, m)
     failures = 0
@@ -198,6 +200,16 @@ def _cmd_oracle(args) -> int:
         )
         ok_env = worst <= 1e-8 and env.breakpoints == env_bf.breakpoints
 
+        # a finite window, where para_dtw skips cells no optimal path uses
+        lo = window_rng.uniform(-3.0, 3.0)
+        hi = lo + 10.0 ** window_rng.uniform(-2.0, 0.5)
+        windowed = para_dtw(line, n, m, (lo, hi))
+        worst_window = max(
+            abs(windowed.value(z) - min(q(z) for q in losses)) / max(1.0, abs(windowed.value(z)))
+            for z in np.linspace(lo, hi, 50)
+        )
+        ok_window = worst_window <= 1e-8
+
         fast = selective_p_value(pair)
         slow = conditional_test(
             pair, lambda _, line, M, window: z1_region(envelope_bruteforce(alignments, line), M)
@@ -209,11 +221,11 @@ def _cmd_oracle(args) -> int:
             for u, v in zip(piece_fast, piece_slow)
         )
 
-        status = "ok" if (ok_dtw and ok_env and ok_p and ok_region) else "MISMATCH"
+        status = "ok" if (ok_dtw and ok_env and ok_window and ok_p and ok_region) else "MISMATCH"
         print(
             f"instance {k:3d}: dtw={'ok' if ok_dtw else 'FAIL'} "
-            f"envelope={'ok' if ok_env else 'FAIL'} p={'ok' if ok_p else 'FAIL'} "
-            f"region={'ok' if ok_region else 'FAIL'} -> {status}"
+            f"envelope={'ok' if ok_env else 'FAIL'} window={'ok' if ok_window else 'FAIL'} "
+            f"p={'ok' if ok_p else 'FAIL'} region={'ok' if ok_region else 'FAIL'} -> {status}"
         )
         failures += status != "ok"
     print(f"{args.instances - failures}/{args.instances} instances consistent")

@@ -17,6 +17,8 @@ __all__ = [
     "TimeSeriesPair",
     "AlignmentMatrix",
     "TestDirection",
+    "accumulated_cost",
+    "bellman_path",
     "bellman_predecessor",
     "bellman_table",
     "cost_matrix",
@@ -211,8 +213,16 @@ def enumerate_alignments(n: int, m: int) -> list[AlignmentMatrix]:
 
 def bellman_table(pair: TimeSeriesPair) -> list[list[float]]:
     """Accumulated cost table: entry ``(i, j)`` is the optimal loss of ``x[:i+1]`` vs ``y[:j+1]``."""
-    n, m = pair.n, pair.m
-    cost = cost_matrix(pair).tolist()
+    return accumulated_cost(cost_matrix(pair).tolist())
+
+
+def accumulated_cost(cost: list[list[float]]) -> list[list[float]]:
+    """Bellman table of an ``n x m`` cost matrix given as nested lists.
+
+    Entry ``(i, j)`` is the least summed cost of a warping path from cell
+    ``(0, 0)`` to cell ``(i, j)``, both ends included.
+    """
+    n, m = len(cost), len(cost[0])
     table = [[0.0] * m for _ in range(n)]
     table[0][0] = cost[0][0]
     for j in range(1, m):
@@ -258,6 +268,11 @@ def _traceback(table: list[list[float]], i: int, j: int) -> tuple[tuple[int, int
         path.append((i + 1, j + 1))
     path.reverse()
     return tuple(path)
+
+
+def bellman_path(cost: list[list[float]]) -> tuple[tuple[int, int], ...]:
+    """Optimal warping path of an ``n x m`` cost matrix, 1-based, ties as in ``dtw``."""
+    return _traceback(accumulated_cost(cost), len(cost) - 1, len(cost[0]) - 1)
 
 
 def dtw(pair: TimeSeriesPair) -> tuple[AlignmentMatrix, float]:

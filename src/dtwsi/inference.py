@@ -26,8 +26,16 @@ from .dtw_core import (
     test_direction,
     test_statistic,
 )
-from .intervals import IntervalUnion
-from .parametric import DataLine, para_dtw, z1_region
+from .intervals import IntervalUnion, solve_quadratic_leq
+from .parametric import (
+    TIE_BAND,
+    DataLine,
+    QuadraticLoss,
+    optimal_at,
+    para_dtw,
+    quadratic_loss,
+    z1_region,
+)
 
 __all__ = [
     "DegenerateDirectionError",
@@ -45,6 +53,14 @@ __all__ = [
 
 # Total log-mass below this is indistinguishable from zero in double precision.
 UNDERFLOW_LOG_MASS = -700.0
+# Witness cuts keep where the observed loss exceeds a witness's by at most
+# this, relative to ``1 + q_obs(t_obs)`` (losses are in sigma^2), so roundoff
+# in either loss cannot cut into the selection region.
+WITNESS_SLACK = 1e-6
+# Witness grid: this many points, and an unbounded window end clipped this far
+# from the observed statistic (sigma units).  They move speed, not results.
+WITNESS_GRID = 24
+WITNESS_REACH = 20.0
 
 
 def _membership_tol(sigma: float, z_obs: float) -> float:
@@ -297,7 +313,7 @@ def conditional_test(
     sigma = math.sqrt(pair.covariance_quadratic_form(direction.eta))
     # Build the regions in sigma units.  Scaling by a power of two is exact, so
     # only the tolerance comparisons, now dimensionless, see the change.
-    scale = math.ldexp(1.0, math.frexp(sigma)[1])
+    scale = _unit_scale(sigma)
     unit = DataLine(line.a / scale, line.b, pair.n)
     window = z2_region(unit, M_obs, s_obs)
     region = selection_region(pair, unit, M_obs, window).intersect(window)
@@ -311,14 +327,60 @@ def conditional_test(
     return InferenceResult(z_obs=z_obs, sigma=sigma, region=region, p_selective=p, alignment=M_obs)
 
 
+def _unit_scale(sigma: float) -> float:
+    """The power of two with ``sigma <= scale < 2 sigma``: the line's unit."""
+    return math.ldexp(1.0, math.frexp(sigma)[1])
+
+
 def _envelope_region(
     pair: TimeSeriesPair, line: DataLine, M_obs: AlignmentMatrix, window: IntervalUnion
 ) -> IntervalUnion:
-    """Where ``M_obs`` carries the envelope, built on the window alone."""
+    """Where the envelope carries ``M_obs``, built on a witness hull inside the window.
+
+    Witnesses shrink the window first.  At grid points of the window, the
+    path ``w`` optimal there has a loss ``q_w`` that bounds the envelope from
+    above, so wherever ``q_w < q_obs`` the observed path ``M_obs`` is not
+    optimal: that set lies outside the selection region.  Each witness cuts
+    the window to ``{q_obs - q_w <= slack}``, a superset of what is left of
+    the region.  The envelope is built on the hull of the cuts; ``para_dtw``
+    then skips the cells no path optimal in that hull can use.  Every
+    filter keeps a superset of the region, so the grid moves speed only.
+
+    A segment whose loss equals ``M_obs``'s within the tie band counts as
+    ``M_obs``'s: ``M_obs`` is optimal there too.  Which of two paths with
+    identical losses the envelope carries depends on the window it is built on.
+    """
     if window.is_empty:
         return window
     (bounds,) = window.intervals
-    return z1_region(para_dtw(line, pair.n, pair.m, bounds), M_obs)
+    q_obs = quadratic_loss(M_obs, line)
+    direction = test_direction(M_obs, sign_vector(M_obs, pair))
+    sigma = math.sqrt(pair.covariance_quadratic_form(direction.eta))
+    t_obs = test_statistic(direction, pair) / _unit_scale(sigma)
+    slack = WITNESS_SLACK * (1.0 + q_obs(t_obs))
+    lo, hi = bounds
+    grid = np.linspace(max(lo, t_obs - WITNESS_REACH), min(hi, t_obs + WITNESS_REACH), WITNESS_GRID)
+    for t in grid.tolist():
+        if not lo < t < hi:
+            continue
+        path, q = optimal_at(line, t)
+        if path == M_obs.path:
+            continue
+        cut = solve_quadratic_leq(q_obs.w2 - q.w2, q_obs.w1 - q.w1, q_obs.w0 - q.w0 - slack)
+        kept = IntervalUnion([(lo, hi)]).intersect(cut)
+        if kept.is_empty:
+            return kept
+        lo, hi = kept.intervals[0][0], kept.intervals[-1][1]
+    env = para_dtw(line, pair.n, pair.m, (lo, hi))
+    twins = {M.path: M for M, q in env.segments if _same_loss(q, q_obs)}
+    return IntervalUnion(piece for M in twins.values() for piece in z1_region(env, M))
+
+
+def _same_loss(q: QuadraticLoss, r: QuadraticLoss) -> bool:
+    """Whether two loss quadratics agree coefficient by coefficient within the tie band."""
+    return all(
+        abs(u - v) <= TIE_BAND * (1.0 + abs(v)) for u, v in zip(q.coefficients(), r.coefficients())
+    )
 
 
 def selective_p_value(pair: TimeSeriesPair) -> InferenceResult:

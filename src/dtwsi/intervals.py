@@ -3,7 +3,8 @@
 Truncation regions on the one-dimensional data line are represented as sorted
 unions of disjoint closed intervals whose endpoints may be infinite.  All set
 arithmetic here is exact on the stored endpoints; tolerances enter only in
-membership and containment queries.
+membership and containment queries, and in telling a quadratic inequality
+from a linear one.
 """
 
 from __future__ import annotations
@@ -11,7 +12,12 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-__all__ = ["IntervalUnion"]
+__all__ = ["IntervalUnion", "solve_quadratic_leq"]
+
+# Leading coefficients this small relative to the rest (floored at 1 sigma
+# unit) are roundoff residue of a linear constraint; solving them as quadratics
+# would manufacture crossings at astronomical |z|.
+CURVATURE_SNAP = 1e-12
 
 
 class IntervalUnion:
@@ -125,3 +131,34 @@ class IntervalUnion:
             if hi >= bound:
                 out.append((max(lo, bound), hi))
         return IntervalUnion(out)
+
+
+def solve_quadratic_leq(alpha: float, beta: float, gamma: float) -> IntervalUnion:
+    """Solution set of ``alpha z^2 + beta z + gamma <= 0`` in closed form.
+
+    Selection events on the data line are intersections of such sets: the
+    over-conditioned event's per-cell constraints, and the witness cuts that
+    bound the exact event before its envelope is built.
+    """
+    scale = max(1.0, abs(beta), abs(gamma))
+    if abs(alpha) <= CURVATURE_SNAP * scale:
+        if beta == 0.0:
+            return IntervalUnion.real_line() if gamma <= 0.0 else IntervalUnion.empty()
+        r = -gamma / beta
+        if beta > 0.0:
+            return IntervalUnion([(-math.inf, r)])
+        return IntervalUnion([(r, math.inf)])
+    disc = beta * beta - 4.0 * alpha * gamma
+    if disc < 0.0:
+        return IntervalUnion.empty() if alpha > 0.0 else IntervalUnion.real_line()
+    sq = math.sqrt(disc)
+    q = -0.5 * (beta + sq) if beta >= 0.0 else -0.5 * (beta - sq)
+    if q != 0.0:
+        r1, r2 = q / alpha, gamma / q
+    else:
+        r1, r2 = 0.0, -beta / alpha
+    if r1 > r2:
+        r1, r2 = r2, r1
+    if alpha > 0.0:
+        return IntervalUnion([(r1, r2)])
+    return IntervalUnion([(-math.inf, r1), (r2, math.inf)])

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dtw_core import AlignmentMatrix
+from .dtw_core import AlignmentMatrix, accumulated_cost, bellman_path
 from .intervals import IntervalUnion
 
 __all__ = [
@@ -26,6 +26,7 @@ __all__ = [
     "cell_terms",
     "quadratic_loss",
     "envelope_bruteforce",
+    "optimal_at",
     "para_dtw",
     "z1_region",
 ]
@@ -38,6 +39,9 @@ MIN_BREAKPOINT_GAP = 1e-12
 TANGENCY_TOL = 1e-12
 # Values, slopes or curvatures within this relative band count as tied.
 TIE_BAND = 1e-9
+# A cell is skipped on a finite window only when its loss bound exceeds the
+# cap by more than this, relative to ``1 + cap`` (losses are in sigma^2).
+CELL_BOUND_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -170,14 +174,28 @@ def quadratic_loss(M: AlignmentMatrix, line: DataLine) -> QuadraticLoss:
         raise ValueError(
             f"alignment is {M.n}x{M.m} but line splits {line.n}+{line.m}"
         )
-    term = cell_terms(line)
+    return _path_loss(M.path, cell_terms(line))
+
+
+def _path_loss(path, term) -> QuadraticLoss:
     w0 = w1 = w2 = 0.0
-    for i, j in M.path:
+    for i, j in path:
         t0, t1, t2 = term(i - 1, j - 1)
         w0 += t0
         w1 += t1
         w2 += t2
     return QuadraticLoss(w0, w1, w2)
+
+
+def optimal_at(line: DataLine, z: float) -> tuple[tuple[tuple[int, int], ...], QuadraticLoss]:
+    """A path optimal at ``z`` (Bellman on the series at ``z``) and its loss quadratic.
+
+    Any path's loss bounds the envelope from above everywhere, so callers may
+    use the result as a bound; it is exact only at ``z`` and up to roundoff.
+    """
+    d = np.subtract.outer(line.a1 + line.b1 * z, line.a2 + line.b2 * z)
+    path = bellman_path((d * d).tolist())
+    return path, _path_loss(path, cell_terms(line))
 
 
 def _crossing_root(d2: float, d1: float, d0: float, z: float) -> float:
@@ -357,6 +375,13 @@ def para_dtw(
     Pruning to the window is exact by Bellman's prefix principle: a path that
     is optimal at ``(n, m)`` for some ``z`` in the window has a prefix that is
     optimal, for that same ``z``, at every cell it passes through.
+
+    On a finite window, cells that no such path can pass through are skipped
+    first (see ``_unusable_cells``).  Every path that is optimal somewhere in
+    the window avoids them, so the envelope keeps the same losses over the
+    window; only which of two paths with identical losses it carries may
+    change.  On an infinite window nothing is skipped, so the full-line
+    envelope, the oracle, is built over every cell.
     """
     if line.n != n or line.m != m:
         raise ValueError("line split does not match requested dimensions")
@@ -364,9 +389,13 @@ def para_dtw(
     if not lo <= hi:
         raise ValueError(f"window ({lo}, {hi}) is empty")
     term = cell_terms(line)
+    skip = _unusable_cells(line, lo, hi)
     table: list[list[list[tuple]]] = [[None] * m for _ in range(n)]
     for i in range(n):
         for j in range(m):
+            if skip[i][j]:
+                table[i][j] = []
+                continue
             t0, t1, t2 = term(i, j)
             cell = (i + 1, j + 1)
             if i == 0 and j == 0:
@@ -381,9 +410,41 @@ def para_dtw(
                     if pi >= 0 and pj >= 0
                     for path, w0, w1, w2 in table[pi][pj]
                 ]
+                if not cands:
+                    table[i][j] = []
+                    continue
             bps, order = _walk_envelope(cands, lo, hi)
             table[i][j] = [cands[k] for k in dict.fromkeys(order)]
     return _envelope(bps, order, cands, n, m)
+
+
+def _unusable_cells(line: DataLine, lo: float, hi: float) -> list[list[bool]]:
+    """Cells that no path optimal somewhere in ``[lo, hi]`` passes through.
+
+    Cell ``(i, j)`` costs ``(da + db z)^2``, whose least value ``L`` over the
+    window is closed-form.  Forward and backward Bellman tables ``F`` and
+    ``B`` of those least values make ``F + B - L`` a lower bound, at every
+    ``z`` in the window, on the loss of any path through the cell.  The path
+    optimal at the window's midpoint has a convex loss, so its largest value
+    on the window, ``cap``, is at an end, and the optimal loss is at most
+    ``cap`` throughout.  A cell whose bound exceeds ``cap`` (beyond
+    ``CELL_BOUND_MARGIN``, for roundoff) therefore carries no path that is
+    optimal anywhere in the window.  On an infinite window ``cap`` is
+    infinite and no cell is unusable.
+    """
+    n, m = line.n, line.m
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        return [[False] * m for _ in range(n)]
+    da = np.subtract.outer(line.a1, line.a2)
+    db = np.subtract.outer(line.b1, line.b2)
+    at_lo, at_hi = da + db * lo, da + db * hi
+    # zero where da + db z changes sign inside the window, else the end value nearer zero
+    least = np.where(at_lo * at_hi <= 0.0, 0.0, np.minimum(at_lo * at_lo, at_hi * at_hi))
+    ahead = np.array(accumulated_cost(least.tolist()))
+    behind = np.array(accumulated_cost(least[::-1, ::-1].tolist()))[::-1, ::-1]
+    _, loss = optimal_at(line, 0.5 * lo + 0.5 * hi)
+    cap = max(loss(lo), loss(hi))
+    return (ahead + behind - least > cap + CELL_BOUND_MARGIN * (1.0 + cap)).tolist()
 
 
 def z1_region(env: PiecewiseEnvelope, M_obs: AlignmentMatrix) -> IntervalUnion:

@@ -288,6 +288,17 @@ class TestSelectivePValue:
         res = selective_p_value(TimeSeriesPair(np.round(x, 1), np.round(y, 1)))
         assert res.region.contains(res.z_obs)
 
+    def test_identical_loss_twin_keeps_region(self):
+        # Rounded to integers, M_obs has a twin with the same loss quadratic.
+        # The envelope built on the witness hull carries the twin; counting its
+        # segments as M_obs's keeps the region of the window-only engine.
+        rng = np.random.default_rng(10018)
+        x, y = rng.normal(size=20), rng.normal(size=20)
+        res = selective_p_value(TimeSeriesPair(np.round(x), np.round(y)))
+        assert res.p_selective == 0.0
+        ((lo, hi),) = res.region.intervals
+        assert lo == pytest.approx(6.0, rel=1e-12) and hi == pytest.approx(15.0, rel=1e-12)
+
     def test_statistic_is_alignment_statistic(self):
         pair = random_pair(99)
         res = selective_p_value(pair)

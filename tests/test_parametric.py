@@ -5,7 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from dtwsi import parametric
 from dtwsi.dtw_core import TimeSeriesPair, cost_matrix, dtw, enumerate_alignments
+from dtwsi.harness import ExperimentConfig, generate_pair
+from dtwsi.inference import conditional_test, selective_p_value
 from dtwsi.intervals import IntervalUnion
 from dtwsi.parametric import (
     DataLine,
@@ -349,6 +352,105 @@ class TestWindowedParaDtw:
         line = random_line(np.random.default_rng(14), 2, 2)
         with pytest.raises(ValueError, match="empty"):
             para_dtw(line, 2, 2, (1.0, 0.0))
+
+
+def count_walks(monkeypatch):
+    """Record the candidate count of every cell ``para_dtw`` walks."""
+    walked = []
+    walk = parametric._walk_envelope
+
+    def counting(cands, lo=-math.inf, hi=math.inf):
+        walked.append(len(cands))
+        return walk(cands, lo, hi)
+
+    monkeypatch.setattr(parametric, "_walk_envelope", counting)
+    return walked
+
+
+class TestCellBound:
+    def test_skips_cells_on_narrow_window(self, monkeypatch):
+        walked = count_walks(monkeypatch)
+        line = random_line(np.random.default_rng(19), 20, 20)
+        para_dtw(line, 20, 20, (-0.05, 0.05))
+        assert 0 < len(walked) < 20 * 20
+
+    def test_full_line_skips_nothing(self, monkeypatch):
+        walked = count_walks(monkeypatch)
+        line = random_line(np.random.default_rng(16), 4, 5)
+        para_dtw(line, 4, 5)
+        para_dtw(line, 4, 5, (-math.inf, 0.0))
+        assert len(walked) == 2 * 4 * 5
+
+    def test_matches_full_line_inside_narrow_windows(self, monkeypatch):
+        walked = count_walks(monkeypatch)
+        skipped = 0
+        for seed in range(80):
+            rng = np.random.default_rng([17, seed])
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(2, 9))
+            line = random_line(rng, n, m)
+            full = para_dtw(line, n, m)
+            for width in (1e-3, 0.1, 1.0):
+                lo = float(rng.uniform(-3.0, 3.0))
+                hi = lo + width
+                walked.clear()
+                pruned = para_dtw(line, n, m, (lo, hi))
+                skipped += len(walked) < n * m
+                for z in np.linspace(lo, hi, 25):
+                    assert pruned.value(z) == pytest.approx(full.value(z), rel=1e-9, abs=1e-12)
+                window = IntervalUnion([(lo, hi)])
+                paths = {M.path: M for M, _ in full.segments + pruned.segments}
+                for M in paths.values():
+                    got = z1_region(pruned, M).intersect(window)
+                    want = z1_region(full, M).intersect(window)
+                    assert_same_pieces(solid_pieces(got), solid_pieces(want))
+        # the bound must act on most of these windows for the test to mean anything
+        assert skipped >= 120
+
+
+def window_only_region(pair, line, M_obs, window):
+    """Selection region from the envelope built on the whole window, no witnesses."""
+    if window.is_empty:
+        return window
+    (bounds,) = window.intervals
+    return z1_region(para_dtw(line, pair.n, pair.m, bounds), M_obs)
+
+
+def outcome(test, pair):
+    """The test's result, or the type of the error it raised."""
+    try:
+        return test(pair)
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+class TestWitnessHull:
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_region_equals_window_only(self, decimals):
+        for seed in range(60):
+            rng = np.random.default_rng([18, seed])
+            n = int(rng.integers(2, 21))
+            m = int(rng.integers(2, 21))
+            x, y = rng.normal(size=n), rng.normal(size=m)
+            if decimals is not None:
+                x, y = np.round(x, decimals), np.round(y, decimals)
+            pair = TimeSeriesPair(x, y)
+            hull = outcome(selective_p_value, pair)
+            whole = outcome(lambda pair: conditional_test(pair, window_only_region), pair)
+            if isinstance(whole, type):
+                assert hull is whole
+                continue
+            assert hull.p_selective == pytest.approx(whole.p_selective, rel=0, abs=1e-12)
+            assert_same_pieces(list(hull.region), list(whole.region))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bit_identical_to_window_only_at_n30(self, seed):
+        for k, delta in enumerate((0.0, 1.5)):
+            pair = generate_pair(ExperimentConfig(n=30, m=30, delta=delta, seed=seed), k)
+            hull = selective_p_value(pair)
+            whole = conditional_test(pair, window_only_region)
+            assert hull.p_selective.hex() == whole.p_selective.hex()
+            assert hull.region == whole.region
 
 
 class TestZ1Region:
