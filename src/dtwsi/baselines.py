@@ -14,13 +14,12 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .dtw_core import TimeSeriesPair, bellman_predecessor, bellman_table, dtw
+from .dtw_core import TimeSeriesPair, bellman_path, bellman_predecessor, bellman_table
 from .inference import InferenceResult, conditional_test
 from .intervals import IntervalUnion, solve_quadratic_leq
 from .parametric import DataLine, cell_terms
 
 __all__ = [
-    "solve_quadratic_leq",
     "si_dtw_oc_constraints",
     "si_dtw_oc_region",
     "si_dtw_oc_p_value",
@@ -74,13 +73,13 @@ def si_dtw_oc_region(pair: TimeSeriesPair, line: DataLine) -> IntervalUnion:
 
 def si_dtw_oc_p_value(pair: TimeSeriesPair) -> InferenceResult:
     """Conditional p-value under the fully conditioned (per-cell) selection event."""
-    return conditional_test(pair, lambda pair, line, M_obs, window: si_dtw_oc_region(pair, line))
+    return conditional_test(pair, lambda line, *_: si_dtw_oc_region(pair, line))
 
 
 def _abs_alignment_statistic(x: np.ndarray, y: np.ndarray) -> float:
     """Optimal alignment of the raw series, then the sum of absolute differences."""
-    M, _ = dtw(TimeSeriesPair(x, y))
-    return float(sum(abs(x[i - 1] - y[j - 1]) for i, j in M.path))
+    d = np.subtract.outer(x, y)
+    return float(sum(abs(d[i - 1, j - 1]) for i, j in bellman_path((d * d).tolist())))
 
 
 def permutation_test(pair: TimeSeriesPair, B: int, seed: int) -> float:
@@ -123,10 +122,10 @@ def data_splitting_test(pair: TimeSeriesPair) -> float:
     n_inf, m_inf = x_inf.size, y_inf.size
     if n_inf < 1 or m_inf < 1:
         raise ValueError("inference half is empty")
-    M_sel, _ = dtw(TimeSeriesPair(x_sel, y_sel))
+    d_sel = np.subtract.outer(x_sel, y_sel)
     eta = np.zeros(n_inf + m_inf)
     stat = 0.0
-    for i, j in M_sel.path:
+    for i, j in bellman_path((d_sel * d_sel).tolist()):
         i2 = min(i, n_inf) - 1
         j2 = min(j, m_inf) - 1
         d = x_inf[i2] - y_inf[j2]

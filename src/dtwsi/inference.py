@@ -27,15 +27,7 @@ from .dtw_core import (
     test_statistic,
 )
 from .intervals import IntervalUnion, solve_quadratic_leq
-from .parametric import (
-    TIE_BAND,
-    DataLine,
-    QuadraticLoss,
-    optimal_at,
-    para_dtw,
-    quadratic_loss,
-    z1_region,
-)
+from .parametric import TIE_BAND, DataLine, QuadraticLoss, optimal_at, para_dtw, quadratic_loss
 
 __all__ = [
     "DegenerateDirectionError",
@@ -95,12 +87,6 @@ class InferenceResult:
     region: IntervalUnion
     p_selective: float
     alignment: AlignmentMatrix
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_selective <= 1.0:
-            raise ValueError(f"p-value {self.p_selective} outside [0, 1]")
-        if not self.region.contains(self.z_obs, tol=_membership_tol(self.sigma, self.z_obs)):
-            raise ValueError("observed statistic lies outside its own truncation region")
 
 
 def nuisance_decomposition(pair: TimeSeriesPair, direction: TestDirection) -> DataLine:
@@ -288,9 +274,7 @@ def truncated_gaussian_ci(
 
 def conditional_test(
     pair: TimeSeriesPair,
-    selection_region: Callable[
-        [TimeSeriesPair, DataLine, AlignmentMatrix, IntervalUnion], IntervalUnion
-    ],
+    selection_region: Callable[[DataLine, AlignmentMatrix, IntervalUnion, float], IntervalUnion],
 ) -> InferenceResult:
     """Conditional p-value for the optimal-alignment statistic of ``pair``.
 
@@ -298,12 +282,13 @@ def conditional_test(
     out the nuisance to obtain the data line, intersect the selection region
     with the sign-preserving window, and evaluate the truncated-Gaussian tail.
 
-    ``selection_region(pair, line, M_obs, window)`` returns the line
+    ``selection_region(line, M_obs, window, t_obs)`` returns the line
     parameters at which the selection event conditioned on holds; it is the
     only step in which the exact methods differ.  ``line`` is the data line
-    in sigma units (see below) and ``window`` the sign-preserving region on
-    it, computed first: the result is intersected with it, so a builder need
-    only be exact inside it.
+    in sigma units (see below), ``t_obs`` the observed statistic in those
+    units, and ``window`` the sign-preserving region on the line, computed
+    first: the result is intersected with it, so a builder need only be
+    exact inside it.  A builder that needs more of the data closes over it.
     """
     M_obs, _ = dtw(pair)
     s_obs = sign_vector(M_obs, pair)
@@ -316,7 +301,7 @@ def conditional_test(
     scale = _unit_scale(sigma)
     unit = DataLine(line.a / scale, line.b, pair.n)
     window = z2_region(unit, M_obs, s_obs)
-    region = selection_region(pair, unit, M_obs, window).intersect(window)
+    region = selection_region(unit, M_obs, window, z_obs / scale).intersect(window)
     region = IntervalUnion((lo * scale, hi * scale) for lo, hi in region)
     if not region.contains(z_obs, tol=_membership_tol(sigma, z_obs)):
         raise SelectionEventError(
@@ -333,7 +318,7 @@ def _unit_scale(sigma: float) -> float:
 
 
 def _envelope_region(
-    pair: TimeSeriesPair, line: DataLine, M_obs: AlignmentMatrix, window: IntervalUnion
+    line: DataLine, M_obs: AlignmentMatrix, window: IntervalUnion, t_obs: float
 ) -> IntervalUnion:
     """Where the envelope carries ``M_obs``, built on a witness hull inside the window.
 
@@ -354,9 +339,6 @@ def _envelope_region(
         return window
     (bounds,) = window.intervals
     q_obs = quadratic_loss(M_obs, line)
-    direction = test_direction(M_obs, sign_vector(M_obs, pair))
-    sigma = math.sqrt(pair.covariance_quadratic_form(direction.eta))
-    t_obs = test_statistic(direction, pair) / _unit_scale(sigma)
     slack = WITNESS_SLACK * (1.0 + q_obs(t_obs))
     lo, hi = bounds
     grid = np.linspace(max(lo, t_obs - WITNESS_REACH), min(hi, t_obs + WITNESS_REACH), WITNESS_GRID)
@@ -371,9 +353,11 @@ def _envelope_region(
         if kept.is_empty:
             return kept
         lo, hi = kept.intervals[0][0], kept.intervals[-1][1]
-    env = para_dtw(line, pair.n, pair.m, (lo, hi))
-    twins = {M.path: M for M, q in env.segments if _same_loss(q, q_obs)}
-    return IntervalUnion(piece for M in twins.values() for piece in z1_region(env, M))
+    env = para_dtw(line, line.n, line.m, (lo, hi))
+    bps = env.breakpoints
+    return IntervalUnion(
+        (bps[k], bps[k + 1]) for k, (_, q) in enumerate(env.segments) if _same_loss(q, q_obs)
+    )
 
 
 def _same_loss(q: QuadraticLoss, r: QuadraticLoss) -> bool:

@@ -12,7 +12,6 @@ from dtwsi.baselines import (
     si_dtw_oc_constraints,
     si_dtw_oc_p_value,
     si_dtw_oc_region,
-    solve_quadratic_leq,
 )
 from dtwsi.dtw_core import (
     TimeSeriesPair,
@@ -25,7 +24,7 @@ from dtwsi.dtw_core import (
 )
 from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.inference import nuisance_decomposition, selective_p_value, z2_region
-from dtwsi.intervals import IntervalUnion
+from dtwsi.intervals import IntervalUnion, solve_quadratic_leq
 from dtwsi.parametric import DataLine, quadratic_loss
 from dense_views import path_cost
 

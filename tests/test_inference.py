@@ -37,18 +37,18 @@ def random_pair(seed, n=5, m=5):
     return TimeSeriesPair(rng.normal(size=n), rng.normal(size=m))
 
 
-def enumeration_region(pair, line, M_obs, window):
+def enumeration_region(line, M_obs, window, t_obs):
     """Selection region from the brute-force envelope over every alignment.
 
     Built on the whole line; ``conditional_test`` intersects it with ``window``.
     """
-    env = envelope_bruteforce(enumerate_alignments(pair.n, pair.m), line)
+    env = envelope_bruteforce(enumerate_alignments(line.n, line.m), line)
     return z1_region(env, M_obs)
 
 
-def full_line_region(pair, line, M_obs, window):
+def full_line_region(line, M_obs, window, t_obs):
     """Selection region from the full-line envelope, the windowed engine's oracle."""
-    return z1_region(para_dtw(line, pair.n, pair.m), M_obs)
+    return z1_region(para_dtw(line, line.n, line.m), M_obs)
 
 
 def assert_matches_full_line(pair):
@@ -277,7 +277,44 @@ class TestSelectivePValue:
         pair = random_pair(1)
         M, d = observed_direction(pair)
         line = nuisance_decomposition(pair, d)
-        assert inference._envelope_region(pair, line, M, IntervalUnion.empty()).is_empty
+        t_obs = float(d.eta @ pair.stacked())
+        assert inference._envelope_region(line, M, IntervalUnion.empty(), t_obs).is_empty
+
+    def test_builder_receives_unit_line_and_statistic(self):
+        pair = generate_pair(ExperimentConfig(n=8, m=7, covariance="ar-correlation", seed=4), 0)
+        calls = []
+
+        def recording(line, M_obs, window, t_obs):
+            calls.append((line, M_obs, window, t_obs))
+            return IntervalUnion.real_line()
+
+        res = conditional_test(pair, recording)
+        ((line, M_obs, window, t_obs),) = calls
+        scale = inference._unit_scale(res.sigma)
+        assert t_obs * scale == res.z_obs
+        M, d = observed_direction(pair)
+        assert M_obs == M == res.alignment
+        data_line = nuisance_decomposition(pair, d)
+        assert np.array_equal(line.a * scale, data_line.a)
+        assert np.array_equal(line.b, data_line.b)
+        assert window == z2_region(line, M, sign_vector(M, pair))
+
+    def test_envelope_builder_reads_only_its_arguments(self, monkeypatch):
+        pair = random_pair(3, n=6, m=6)
+        want = selective_p_value(pair)
+        scale = inference._unit_scale(want.sigma)
+        M, d = observed_direction(pair)
+        data_line = nuisance_decomposition(pair, d)
+        line = DataLine(data_line.a / scale, data_line.b, pair.n)
+        window = z2_region(line, M, sign_vector(M, pair))
+
+        def fail(*args):
+            raise AssertionError("observed quantity recomputed inside the builder")
+
+        for name in ("sign_vector", "test_direction", "test_statistic"):
+            monkeypatch.setattr(inference, name, fail)
+        got = inference._envelope_region(line, M, window, want.z_obs / scale)
+        assert IntervalUnion((lo * scale, hi * scale) for lo, hi in got.intersect(window)) == want.region
 
     def test_exact_tie_on_rounded_data_keeps_observed_path(self):
         # Rounded to one decimal, two paths differ only by a cell whose cost

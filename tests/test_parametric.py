@@ -408,12 +408,12 @@ class TestCellBound:
         assert skipped >= 120
 
 
-def window_only_region(pair, line, M_obs, window):
+def window_only_region(line, M_obs, window, t_obs):
     """Selection region from the envelope built on the whole window, no witnesses."""
     if window.is_empty:
         return window
     (bounds,) = window.intervals
-    return z1_region(para_dtw(line, pair.n, pair.m, bounds), M_obs)
+    return z1_region(para_dtw(line, line.n, line.m, bounds), M_obs)
 
 
 def outcome(test, pair):
