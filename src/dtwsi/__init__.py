@@ -23,7 +23,7 @@ from .dtw_core import (
     test_direction,
     test_statistic,
 )
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, solve_quadratic_leq
 from .parametric import (
     DataLine,
     PiecewiseEnvelope,
@@ -51,7 +51,6 @@ from .baselines import (
     permutation_test,
     si_dtw_oc_p_value,
     si_dtw_oc_region,
-    solve_quadratic_leq,
 )
 from .harness import (
     ExperimentConfig,

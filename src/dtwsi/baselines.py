@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .dtw_core import TimeSeriesPair, bellman_path, bellman_predecessor, bellman_table
+from .dtw_core import TimeSeriesPair, accumulated_cost, bellman_path, bellman_predecessor, cost_matrix
 from .inference import InferenceResult, conditional_test
 from .intervals import IntervalUnion, solve_quadratic_leq
 from .parametric import DataLine, cell_terms
@@ -36,7 +36,7 @@ def si_dtw_oc_constraints(pair: TimeSeriesPair, line: DataLine) -> list[tuple[fl
     triples with the convention ``alpha z^2 + beta z + gamma <= 0``.
     """
     n, m = pair.n, pair.m
-    table = bellman_table(pair)
+    table = accumulated_cost(cost_matrix(pair).tolist())
     term = cell_terms(line)
     # loss quadratic (w0, w1, w2) of the observed optimal sub-path, per cell
     q = [[None] * m for _ in range(n)]
@@ -78,8 +78,8 @@ def si_dtw_oc_p_value(pair: TimeSeriesPair) -> InferenceResult:
 
 def _abs_alignment_statistic(x: np.ndarray, y: np.ndarray) -> float:
     """Optimal alignment of the raw series, then the sum of absolute differences."""
-    d = np.subtract.outer(x, y)
-    return float(sum(abs(d[i - 1, j - 1]) for i, j in bellman_path((d * d).tolist())))
+    path, _ = bellman_path(x, y)
+    return float(sum(abs(x[i - 1] - y[j - 1]) for i, j in path))
 
 
 def permutation_test(pair: TimeSeriesPair, B: int, seed: int) -> float:
@@ -117,15 +117,12 @@ def data_splitting_test(pair: TimeSeriesPair) -> float:
     """
     if pair.n < 2 or pair.m < 2:
         raise ValueError("data splitting needs series of length >= 2")
-    x_sel, y_sel = pair.x[0::2], pair.y[0::2]
     x_inf, y_inf = pair.x[1::2], pair.y[1::2]
     n_inf, m_inf = x_inf.size, y_inf.size
-    if n_inf < 1 or m_inf < 1:
-        raise ValueError("inference half is empty")
-    d_sel = np.subtract.outer(x_sel, y_sel)
+    path, _ = bellman_path(pair.x[0::2], pair.y[0::2])
     eta = np.zeros(n_inf + m_inf)
     stat = 0.0
-    for i, j in bellman_path((d_sel * d_sel).tolist()):
+    for i, j in path:
         i2 = min(i, n_inf) - 1
         j2 = min(j, m_inf) - 1
         d = x_inf[i2] - y_inf[j2]

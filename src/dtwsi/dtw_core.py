@@ -20,7 +20,6 @@ __all__ = [
     "accumulated_cost",
     "bellman_path",
     "bellman_predecessor",
-    "bellman_table",
     "cost_matrix",
     "delannoy",
     "enumerate_alignments",
@@ -211,16 +210,13 @@ def enumerate_alignments(n: int, m: int) -> list[AlignmentMatrix]:
     return [AlignmentMatrix(n, m, p) for p in paths]
 
 
-def bellman_table(pair: TimeSeriesPair) -> list[list[float]]:
-    """Accumulated cost table: entry ``(i, j)`` is the optimal loss of ``x[:i+1]`` vs ``y[:j+1]``."""
-    return accumulated_cost(cost_matrix(pair).tolist())
-
-
 def accumulated_cost(cost: list[list[float]]) -> list[list[float]]:
     """Bellman table of an ``n x m`` cost matrix given as nested lists.
 
     Entry ``(i, j)`` is the least summed cost of a warping path from cell
-    ``(0, 0)`` to cell ``(i, j)``, both ends included.
+    ``(0, 0)`` to cell ``(i, j)``, both ends included.  The one Bellman
+    recursion: ``bellman_path``, the over-conditioned constraints and the
+    envelope's cell bound run it.
     """
     n, m = len(cost), len(cost[0])
     table = [[0.0] * m for _ in range(n)]
@@ -261,29 +257,27 @@ def bellman_predecessor(table: list[list[float]], i: int, j: int) -> tuple[int, 
     return i, j - 1
 
 
-def _traceback(table: list[list[float]], i: int, j: int) -> tuple[tuple[int, int], ...]:
+def bellman_path(x: np.ndarray, y: np.ndarray) -> tuple[tuple[tuple[int, int], ...], float]:
+    """Optimal warping path of series ``x`` and ``y`` (1-based) and its squared cost.
+
+    The one two-series alignment solve; ties are broken by ``bellman_predecessor``.
+    """
+    d = np.subtract.outer(x, y)
+    table = accumulated_cost((d * d).tolist())
+    i, j = d.shape[0] - 1, d.shape[1] - 1
+    cost = table[i][j]
     path = [(i + 1, j + 1)]
     while i > 0 or j > 0:
         i, j = bellman_predecessor(table, i, j)
         path.append((i + 1, j + 1))
     path.reverse()
-    return tuple(path)
-
-
-def bellman_path(cost: list[list[float]]) -> tuple[tuple[int, int], ...]:
-    """Optimal warping path of an ``n x m`` cost matrix, 1-based, ties as in ``dtw``."""
-    return _traceback(accumulated_cost(cost), len(cost) - 1, len(cost[0]) - 1)
+    return tuple(path), cost
 
 
 def dtw(pair: TimeSeriesPair) -> tuple[AlignmentMatrix, float]:
-    """Optimal alignment and its total squared cost via Bellman recursion.
-
-    Ties are broken by ``bellman_predecessor``.
-    """
-    n, m = pair.n, pair.m
-    table = bellman_table(pair)
-    path = _traceback(table, n - 1, m - 1)
-    return AlignmentMatrix(n, m, path), table[n - 1][m - 1]
+    """Optimal alignment and its total squared cost, by ``bellman_path``."""
+    path, cost = bellman_path(pair.x, pair.y)
+    return AlignmentMatrix(pair.n, pair.m, path), cost
 
 
 def path_differences(M: AlignmentMatrix, v: np.ndarray) -> np.ndarray:

@@ -5,6 +5,9 @@ component orthogonal to the test direction restricts the data to a line.  On
 that line the statistic follows a Gaussian truncated to the region where the
 selection is unchanged; p-values and confidence intervals come from its tail
 probabilities, evaluated in log space for stability far into the tails.
+
+This module holds that shared pipeline and the truncated Gaussian; each
+method's region builder lives beside its engine.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from .dtw_core import (
     test_direction,
     test_statistic,
 )
-from .intervals import IntervalUnion, solve_quadratic_leq
-from .parametric import TIE_BAND, DataLine, QuadraticLoss, optimal_at, para_dtw, quadratic_loss
+from .intervals import IntervalUnion
+from .parametric import DataLine, si_dtw_region
 
 __all__ = [
     "DegenerateDirectionError",
@@ -45,14 +48,6 @@ __all__ = [
 
 # Total log-mass below this is indistinguishable from zero in double precision.
 UNDERFLOW_LOG_MASS = -700.0
-# Witness cuts keep where the observed loss exceeds a witness's by at most
-# this, relative to ``1 + q_obs(t_obs)`` (losses are in sigma^2), so roundoff
-# in either loss cannot cut into the selection region.
-WITNESS_SLACK = 1e-6
-# Witness grid: this many points, and an unbounded window end clipped this far
-# from the observed statistic (sigma units).  They move speed, not results.
-WITNESS_GRID = 24
-WITNESS_REACH = 20.0
 
 
 def _membership_tol(sigma: float, z_obs: float) -> float:
@@ -284,7 +279,8 @@ def conditional_test(
 
     ``selection_region(line, M_obs, window, t_obs)`` returns the line
     parameters at which the selection event conditioned on holds; it is the
-    only step in which the exact methods differ.  ``line`` is the data line
+    only step in which the exact methods differ (``parametric.si_dtw_region``
+    and ``baselines.si_dtw_oc_region``).  ``line`` is the data line
     in sigma units (see below), ``t_obs`` the observed statistic in those
     units, and ``window`` the sign-preserving region on the line, computed
     first: the result is intersected with it, so a builder need only be
@@ -317,63 +313,13 @@ def _unit_scale(sigma: float) -> float:
     return math.ldexp(1.0, math.frexp(sigma)[1])
 
 
-def _envelope_region(
-    line: DataLine, M_obs: AlignmentMatrix, window: IntervalUnion, t_obs: float
-) -> IntervalUnion:
-    """Where the envelope carries ``M_obs``, built on a witness hull inside the window.
-
-    Witnesses shrink the window first.  At grid points of the window, the
-    path ``w`` optimal there has a loss ``q_w`` that bounds the envelope from
-    above, so wherever ``q_w < q_obs`` the observed path ``M_obs`` is not
-    optimal: that set lies outside the selection region.  Each witness cuts
-    the window to ``{q_obs - q_w <= slack}``, a superset of what is left of
-    the region.  The envelope is built on the hull of the cuts; ``para_dtw``
-    then skips the cells no path optimal in that hull can use.  Every
-    filter keeps a superset of the region, so the grid moves speed only.
-
-    A segment whose loss equals ``M_obs``'s within the tie band counts as
-    ``M_obs``'s: ``M_obs`` is optimal there too.  Which of two paths with
-    identical losses the envelope carries depends on the window it is built on.
-    """
-    if window.is_empty:
-        return window
-    (bounds,) = window.intervals
-    q_obs = quadratic_loss(M_obs, line)
-    slack = WITNESS_SLACK * (1.0 + q_obs(t_obs))
-    lo, hi = bounds
-    grid = np.linspace(max(lo, t_obs - WITNESS_REACH), min(hi, t_obs + WITNESS_REACH), WITNESS_GRID)
-    for t in grid.tolist():
-        if not lo < t < hi:
-            continue
-        path, q = optimal_at(line, t)
-        if path == M_obs.path:
-            continue
-        cut = solve_quadratic_leq(q_obs.w2 - q.w2, q_obs.w1 - q.w1, q_obs.w0 - q.w0 - slack)
-        kept = IntervalUnion([(lo, hi)]).intersect(cut)
-        if kept.is_empty:
-            return kept
-        lo, hi = kept.intervals[0][0], kept.intervals[-1][1]
-    env = para_dtw(line, line.n, line.m, (lo, hi))
-    bps = env.breakpoints
-    return IntervalUnion(
-        (bps[k], bps[k + 1]) for k, (_, q) in enumerate(env.segments) if _same_loss(q, q_obs)
-    )
-
-
-def _same_loss(q: QuadraticLoss, r: QuadraticLoss) -> bool:
-    """Whether two loss quadratics agree coefficient by coefficient within the tie band."""
-    return all(
-        abs(u - v) <= TIE_BAND * (1.0 + abs(v)) for u, v in zip(q.coefficients(), r.coefficients())
-    )
-
-
 def selective_p_value(pair: TimeSeriesPair) -> InferenceResult:
     """Conditional test given the selected alignment and its sign pattern.
 
     The selection region is where the envelope of optimal alignment losses
-    along the data line carries the observed alignment.
+    along the data line carries the observed alignment: ``parametric.si_dtw_region``.
     """
-    return conditional_test(pair, _envelope_region)
+    return conditional_test(pair, si_dtw_region)
 
 
 def selective_confidence_interval(

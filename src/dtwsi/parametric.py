@@ -5,7 +5,9 @@ a quadratic in the line parameter ``z``.  The minimal loss over all paths is
 the lower envelope of finitely many parabolas, a piecewise quadratic.  This
 module computes that envelope either by brute force over an explicit
 candidate set or by a table recursion that propagates, cell by cell, only the
-paths that are optimal for some ``z``.
+paths that are optimal for some ``z``.  It also builds the exact method's
+selection region from that envelope (``si_dtw_region``): the witness hull,
+the cell bound and the tie-band membership are decided here and nowhere else.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .dtw_core import AlignmentMatrix, accumulated_cost, bellman_path
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, solve_quadratic_leq
 
 __all__ = [
     "DataLine",
@@ -26,8 +28,8 @@ __all__ = [
     "cell_terms",
     "quadratic_loss",
     "envelope_bruteforce",
-    "optimal_at",
     "para_dtw",
+    "si_dtw_region",
     "z1_region",
 ]
 
@@ -42,6 +44,14 @@ TIE_BAND = 1e-9
 # A cell is skipped on a finite window only when its loss bound exceeds the
 # cap by more than this, relative to ``1 + cap`` (losses are in sigma^2).
 CELL_BOUND_MARGIN = 1e-9
+# Witness cuts keep where the observed loss exceeds a witness's by at most
+# this, relative to ``1 + q_obs(t_obs)`` (losses are in sigma^2), so roundoff
+# in either loss cannot cut into the selection region.
+WITNESS_SLACK = 1e-6
+# Witness grid: this many points, and an unbounded window end clipped this far
+# from the observed statistic (sigma units).  They move speed, not results.
+WITNESS_GRID = 24
+WITNESS_REACH = 20.0
 
 
 @dataclass(frozen=True)
@@ -187,14 +197,13 @@ def _path_loss(path, term) -> QuadraticLoss:
     return QuadraticLoss(w0, w1, w2)
 
 
-def optimal_at(line: DataLine, z: float) -> tuple[tuple[tuple[int, int], ...], QuadraticLoss]:
+def _optimal_at(line: DataLine, z: float) -> tuple[tuple[tuple[int, int], ...], QuadraticLoss]:
     """A path optimal at ``z`` (Bellman on the series at ``z``) and its loss quadratic.
 
     Any path's loss bounds the envelope from above everywhere, so callers may
     use the result as a bound; it is exact only at ``z`` and up to roundoff.
     """
-    d = np.subtract.outer(line.a1 + line.b1 * z, line.a2 + line.b2 * z)
-    path = bellman_path((d * d).tolist())
+    path, _ = bellman_path(line.a1 + line.b1 * z, line.a2 + line.b2 * z)
     return path, _path_loss(path, cell_terms(line))
 
 
@@ -442,7 +451,7 @@ def _unusable_cells(line: DataLine, lo: float, hi: float) -> list[list[bool]]:
     least = np.where(at_lo * at_hi <= 0.0, 0.0, np.minimum(at_lo * at_lo, at_hi * at_hi))
     ahead = np.array(accumulated_cost(least.tolist()))
     behind = np.array(accumulated_cost(least[::-1, ::-1].tolist()))[::-1, ::-1]
-    _, loss = optimal_at(line, 0.5 * lo + 0.5 * hi)
+    _, loss = _optimal_at(line, 0.5 * lo + 0.5 * hi)
     cap = max(loss(lo), loss(hi))
     return (ahead + behind - least > cap + CELL_BOUND_MARGIN * (1.0 + cap)).tolist()
 
@@ -453,8 +462,59 @@ def z1_region(env: PiecewiseEnvelope, M_obs: AlignmentMatrix) -> IntervalUnion:
     Membership is by exact path equality; an alignment absent from the
     envelope yields the empty union.
     """
-    pieces = []
-    for k, (M, _) in enumerate(env.segments):
-        if M.path == M_obs.path and M.n == M_obs.n and M.m == M_obs.m:
-            pieces.append((env.breakpoints[k], env.breakpoints[k + 1]))
-    return IntervalUnion(pieces)
+    bps = env.breakpoints
+    return IntervalUnion(
+        (bps[k], bps[k + 1]) for k, (M, _) in enumerate(env.segments) if M.path == M_obs.path
+    )
+
+
+def si_dtw_region(
+    line: DataLine, M_obs: AlignmentMatrix, window: IntervalUnion, t_obs: float
+) -> IntervalUnion:
+    """Where the envelope carries ``M_obs``, built on a witness hull inside the window.
+
+    The region builder of the exact method (see ``inference.conditional_test``
+    for the arguments).  Witnesses shrink the window first.  At grid points
+    of the window, the path ``w`` optimal there has a loss ``q_w`` that
+    bounds the envelope from above, so wherever ``q_w < q_obs`` the observed
+    path ``M_obs`` is not optimal: that set lies outside the selection
+    region.  Each witness cuts the window to ``{q_obs - q_w <= slack}``, a
+    superset of what is left of the region.  The envelope is built on the
+    hull of the cuts; ``para_dtw`` then skips the cells no path optimal in
+    that hull can use.  Every filter keeps a superset of the region, so the
+    grid moves speed only.
+
+    A segment whose loss equals ``M_obs``'s within the tie band counts as
+    ``M_obs``'s: ``M_obs`` is optimal there too.  Which of two paths with
+    identical losses the envelope carries depends on the window it is built on.
+    """
+    if window.is_empty:
+        return window
+    (bounds,) = window.intervals
+    q_obs = quadratic_loss(M_obs, line)
+    slack = WITNESS_SLACK * (1.0 + q_obs(t_obs))
+    lo, hi = bounds
+    grid = np.linspace(max(lo, t_obs - WITNESS_REACH), min(hi, t_obs + WITNESS_REACH), WITNESS_GRID)
+    for t in grid.tolist():
+        if not lo < t < hi:
+            continue
+        path, q = _optimal_at(line, t)
+        if path == M_obs.path:
+            continue
+        cut = solve_quadratic_leq(q_obs.w2 - q.w2, q_obs.w1 - q.w1, q_obs.w0 - q.w0 - slack)
+        kept = IntervalUnion([(lo, hi)]).intersect(cut)
+        if kept.is_empty:
+            return kept
+        lo, hi = kept.intervals[0][0], kept.intervals[-1][1]
+    env = para_dtw(line, line.n, line.m, (lo, hi))
+    bps = env.breakpoints
+    return IntervalUnion(
+        (bps[k], bps[k + 1]) for k, (_, q) in enumerate(env.segments) if _same_loss(q, q_obs)
+    )
+
+
+def _same_loss(q: QuadraticLoss, r: QuadraticLoss) -> bool:
+    """Whether two loss quadratics agree coefficient by coefficient within the tie band."""
+    return all(
+        abs(u - v) <= TIE_BAND * (1.0 + abs(v)) for u, v in zip(q.coefficients(), r.coefficients())
+    )

@@ -15,8 +15,8 @@ from dtwsi.baselines import (
 )
 from dtwsi.dtw_core import (
     TimeSeriesPair,
+    accumulated_cost,
     bellman_predecessor,
-    bellman_table,
     cost_matrix,
     dtw,
     enumerate_alignments,
@@ -131,7 +131,7 @@ class TestQuadraticConstraint:
         M, d, line = observed_line(pair)
         poly = si_dtw_oc_constraints(pair, line)
         # rebuild each constraint densely from the observed sub-paths
-        table = bellman_table(pair)
+        table = accumulated_cost(cost_matrix(pair).tolist())
         paths = {(0, 0): ((1, 1),)}
         for i in range(4):
             for j in range(4):

@@ -160,6 +160,16 @@ class TestSimulateCommand:
         cfg.write_text("method = guesswork\n")
         assert main(["simulate", "--config", str(cfg)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("method", ["permutation", "data-split"])
+    def test_ci_with_inexact_method_is_input_error(self, capsys, method):
+        code = main(
+            ["simulate", "--method", method, "--ci", "--trials", "2", "--n", "5", "--m", "5"]
+        )
+        assert code == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "input error" in captured.err and "--ci" in captured.err
+
 
 class TestOracleCommand:
     def test_small_run_consistent(self, capsys):

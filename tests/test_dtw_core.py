@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dtwsi.dtw_core import (
     AlignmentMatrix,
     TimeSeriesPair,
+    bellman_path,
     cost_matrix,
     delannoy,
     dtw,
@@ -174,6 +175,24 @@ class TestDtw:
             M, dist = dtw(pair)
             assert dist == pytest.approx(brute_force_distance(pair), rel=1e-9)
             assert dist == pytest.approx(path_cost(M, cost_matrix(pair)), rel=1e-12)
+
+
+class TestBellmanPath:
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 5), (5, 1), (2, 4), (3, 3), (4, 2), (5, 5)])
+    def test_matches_enumeration_and_dtw(self, n, m):
+        for seed in range(4):
+            rng = np.random.default_rng([n, m, seed])
+            x, y = rng.normal(size=n), rng.normal(size=m)
+            if seed % 2:
+                x, y = np.round(x), np.round(y)  # ties
+            pair = TimeSeriesPair(x, y)
+            path, cost = bellman_path(x, y)
+            M = AlignmentMatrix(n, m, path)  # validates the path
+            assert path_cost(M, cost_matrix(pair)) == pytest.approx(cost, rel=1e-12)
+            assert abs(cost - brute_force_distance(pair)) <= 1e-12 * cost
+            M_dtw, cost_dtw = dtw(pair)
+            assert M_dtw == M
+            assert cost.hex() == cost_dtw.hex()
 
 
 class TestOmega:

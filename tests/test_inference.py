@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import ndtri
 
-from dtwsi import inference
+from dtwsi import inference, parametric
 from dtwsi.baselines import si_dtw_oc_p_value
 from dtwsi.dtw_core import AlignmentMatrix, TimeSeriesPair, dtw, enumerate_alignments, sign_vector
 from dtwsi.dtw_core import TestDirection as Direction
@@ -273,12 +273,12 @@ class TestSelectivePValue:
         def fail(*args):
             raise AssertionError("envelope built for an empty window")
 
-        monkeypatch.setattr(inference, "para_dtw", fail)
+        monkeypatch.setattr(parametric, "para_dtw", fail)
         pair = random_pair(1)
         M, d = observed_direction(pair)
         line = nuisance_decomposition(pair, d)
         t_obs = float(d.eta @ pair.stacked())
-        assert inference._envelope_region(line, M, IntervalUnion.empty(), t_obs).is_empty
+        assert parametric.si_dtw_region(line, M, IntervalUnion.empty(), t_obs).is_empty
 
     def test_builder_receives_unit_line_and_statistic(self):
         pair = generate_pair(ExperimentConfig(n=8, m=7, covariance="ar-correlation", seed=4), 0)
@@ -299,7 +299,7 @@ class TestSelectivePValue:
         assert np.array_equal(line.b, data_line.b)
         assert window == z2_region(line, M, sign_vector(M, pair))
 
-    def test_envelope_builder_reads_only_its_arguments(self, monkeypatch):
+    def test_envelope_builder_reads_only_its_arguments(self):
         pair = random_pair(3, n=6, m=6)
         want = selective_p_value(pair)
         scale = inference._unit_scale(want.sigma)
@@ -308,12 +308,10 @@ class TestSelectivePValue:
         line = DataLine(data_line.a / scale, data_line.b, pair.n)
         window = z2_region(line, M, sign_vector(M, pair))
 
-        def fail(*args):
-            raise AssertionError("observed quantity recomputed inside the builder")
-
+        # the builder's module cannot recompute the observed quantities
         for name in ("sign_vector", "test_direction", "test_statistic"):
-            monkeypatch.setattr(inference, name, fail)
-        got = inference._envelope_region(line, M, window, want.z_obs / scale)
+            assert not hasattr(parametric, name)
+        got = parametric.si_dtw_region(line, M, window, want.z_obs / scale)
         assert IntervalUnion((lo * scale, hi * scale) for lo, hi in got.intersect(window)) == want.region
 
     def test_exact_tie_on_rounded_data_keeps_observed_path(self):
