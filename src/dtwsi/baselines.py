@@ -14,7 +14,14 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .dtw_core import TimeSeriesPair, accumulated_cost, bellman_path, bellman_predecessor, cost_matrix
+from .dtw_core import (
+    TimeSeriesPair,
+    accumulated_cost,
+    bellman_abs_sums,
+    bellman_path,
+    bellman_predecessor,
+    cost_matrix,
+)
 from .inference import InferenceResult, conditional_test
 from .intervals import IntervalUnion, solve_quadratic_leq
 from .parametric import DataLine, cell_terms
@@ -26,6 +33,12 @@ __all__ = [
     "permutation_test",
     "data_splitting_test",
 ]
+
+# Most Bellman cells (n * m per replicate) that one batched permutation solve
+# holds; its skewed table takes about 16 bytes per cell, so 16 MB at most.
+# More replicates than fit are solved in chunks.
+PERMUTATION_CELL_BUDGET = 2**20
+
 
 def si_dtw_oc_constraints(pair: TimeSeriesPair, line: DataLine) -> list[tuple[float, float, float]]:
     """Per-cell quadratic constraints of the fully conditioned selection event.
@@ -76,35 +89,33 @@ def si_dtw_oc_p_value(pair: TimeSeriesPair) -> InferenceResult:
     return conditional_test(pair, lambda line, *_: si_dtw_oc_region(pair, line))
 
 
-def _abs_alignment_statistic(x: np.ndarray, y: np.ndarray) -> float:
-    """Optimal alignment of the raw series, then the sum of absolute differences."""
-    path, _ = bellman_path(x, y)
-    return float(sum(abs(x[i - 1] - y[j - 1]) for i, j in path))
-
-
 def permutation_test(pair: TimeSeriesPair, B: int, seed: int) -> float:
     """Paired permutation p-value for equal-length series.
 
     Each replicate independently swaps or keeps every coordinate pair with
-    probability one half, re-runs the alignment, and recomputes the statistic.
-    Returns the fraction of replicates at least as large as the observed
-    statistic.
+    probability one half, re-runs the alignment, and recomputes the statistic,
+    the sum of absolute differences along the Bellman path.  Returns the
+    fraction of replicates at least as large as the observed statistic.
+
+    The observed pair and the ``B`` replicates are solved as one stack by
+    ``bellman_abs_sums``, in chunks of at most ``PERMUTATION_CELL_BUDGET``
+    cells; row ``k`` of the swaps is the ``k``-th draw of ``rng.random(n)``.
     """
     if pair.n != pair.m:
         raise ValueError("permutation requires equal lengths")
     if B < 1:
         raise ValueError("need at least one permutation replicate")
-    x, y = pair.x, pair.y
-    t_obs = _abs_alignment_statistic(x, y)
+    x, y, n = pair.x, pair.y, pair.n
     rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(B):
-        swap = rng.random(pair.n) < 0.5
-        xb = np.where(swap, y, x)
-        yb = np.where(swap, x, y)
-        if t_obs <= _abs_alignment_statistic(xb, yb):
-            hits += 1
-    return hits / B
+    rows = max(1, PERMUTATION_CELL_BUDGET // (n * n))
+    stats = []
+    for start in range(0, B + 1, rows):
+        swap = rng.random((min(start + rows, B + 1) - max(start, 1), n)) < 0.5
+        if start == 0:
+            swap = np.vstack([np.zeros((1, n), dtype=bool), swap])  # row 0: the observed pair
+        stats.append(bellman_abs_sums(np.where(swap, y, x), np.where(swap, x, y)))
+    stats = np.concatenate(stats)
+    return np.count_nonzero(stats[1:] >= stats[0]) / B
 
 
 def data_splitting_test(pair: TimeSeriesPair) -> float:

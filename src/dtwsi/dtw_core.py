@@ -18,6 +18,7 @@ __all__ = [
     "AlignmentMatrix",
     "TestDirection",
     "accumulated_cost",
+    "bellman_abs_sums",
     "bellman_path",
     "bellman_predecessor",
     "cost_matrix",
@@ -214,9 +215,10 @@ def accumulated_cost(cost: list[list[float]]) -> list[list[float]]:
     """Bellman table of an ``n x m`` cost matrix given as nested lists.
 
     Entry ``(i, j)`` is the least summed cost of a warping path from cell
-    ``(0, 0)`` to cell ``(i, j)``, both ends included.  The one Bellman
-    recursion: ``bellman_path``, the over-conditioned constraints and the
-    envelope's cell bound run it.
+    ``(0, 0)`` to cell ``(i, j)``, both ends included.  The scalar Bellman
+    recursion, for single solves: ``bellman_path``, the over-conditioned
+    constraints and the envelope's cell bound run it.  ``bellman_abs_sums``
+    runs the same recursion batched over a stack of pairs.
     """
     n, m = len(cost), len(cost[0])
     table = [[0.0] * m for _ in range(n)]
@@ -272,6 +274,66 @@ def bellman_path(x: np.ndarray, y: np.ndarray) -> tuple[tuple[tuple[int, int], .
         path.append((i + 1, j + 1))
     path.reverse()
     return tuple(path), cost
+
+
+def bellman_abs_sums(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Sum of ``|x_i - y_j|`` over the Bellman path of each row of a stack.
+
+    ``xs`` is ``(rows, n)`` and ``ys`` is ``(rows, m)``; row ``r`` gets the
+    path that ``bellman_path(xs[r], ys[r])`` returns, summed in path order, so
+    each result is bit-identical to the scalar solve followed by a ``+=`` loop.
+    An anti-diagonal wavefront fills all tables at once with the same minimum
+    and the same single ``+`` per cell as ``accumulated_cost``; the traceback
+    restates ``bellman_predecessor`` in array form.  For one pair the scalar
+    solve is faster; this pays off on a stack.
+    """
+    rows, n = xs.shape
+    m = ys.shape[1]
+    diagonals = n + m - 1
+    xt, yt = xs.T, ys.T
+    # table[k + 1, i + 1, r] is row r's Bellman entry of cell (i, k - i); the
+    # padding and the cells off the grid stay infinite.
+    table = np.full((diagonals + 1, n + 1, rows), np.inf)
+    d = xt[0] - yt[0]
+    table[1, 1] = d * d
+    for k in range(1, diagonals):
+        lo, hi = max(0, k - m + 1), min(n - 1, k)
+        d = xt[lo : hi + 1] - yt[k - hi : k - lo + 1][::-1]
+        cell = table[k + 1, lo + 1 : hi + 2]
+        np.minimum(table[k - 1, lo : hi + 1], table[k, lo : hi + 1], out=cell)
+        np.minimum(cell, table[k, lo + 1 : hi + 2], out=cell)
+        cell += d * d
+
+    # Walk every row back from (n-1, m-1); a finished row rests at (0, 0).
+    # A step back in i moves (n + 2) * rows places in the flat table, a step
+    # back in j (n + 1) * rows, and a diagonal step both.  Reads outside the
+    # grid (wrapped around, at the origin) are masked by `up` and `left`.
+    flat = table.ravel()
+    up_step, left_step = (n + 2) * rows, (n + 1) * rows
+    step = np.array([[up_step + left_step], [up_step], [left_step]])
+    at = np.arange(rows) + (diagonals * (n + 1) + n) * rows
+    i = np.full(rows, n - 1)
+    j = np.full(rows, m - 1)
+    live = np.ones(rows, dtype=bool)
+    cells_i = np.empty((diagonals, rows), dtype=np.intp)
+    cells_j = np.empty((diagonals, rows), dtype=np.intp)
+    kept = np.empty((diagonals, rows), dtype=bool)
+    for s in range(diagonals):
+        cells_i[s], cells_j[s], kept[s] = i, j, live
+        up, left = i > 0, j > 0
+        live &= up | left
+        diag, vert, horiz = flat[at - step]
+        go_diag = up & left & (diag <= vert) & (diag <= horiz)
+        go_up = go_diag | (up & (~left | (vert <= horiz)))
+        go_left = go_diag | (left & ~go_up)
+        at -= up_step * go_up + left_step * go_left
+        i -= go_up
+        j -= go_left
+
+    r = np.arange(rows)
+    terms = np.where(kept, np.abs(xt[cells_i, r] - yt[cells_j, r]), 0.0)
+    # sequential sum in path order (first cell first), not numpy's pairwise sum
+    return np.add.accumulate(terms[::-1], axis=0)[-1]
 
 
 def dtw(pair: TimeSeriesPair) -> tuple[AlignmentMatrix, float]:

@@ -4,9 +4,13 @@ The package stores everything attached to an alignment path as one value per
 path cell, in path order.  The paper writes the same quantities over all
 ``n * m`` cells in row-major order: a binary ``vec(M)``, a sign vector that is
 zero off the path, and a difference map ``Omega``.
+
+It also keeps the scalar oracle of the permutation statistic.
 """
 
 import numpy as np
+
+from dtwsi.dtw_core import bellman_path
 
 
 def omega_matrix(n, m):
@@ -43,3 +47,18 @@ def path_matrix(M):
 def path_cost(M, C):
     """Total cost of the path through the cost matrix ``C``, summed densely."""
     return float((path_matrix(M) * C).sum())
+
+
+def abs_alignment_statistic(x, y):
+    """Bellman path of the raw series, then ``|x_i - y_j|`` summed in path order.
+
+    The slow oracle of ``bellman_abs_sums``: one scalar solve and an explicit
+    ``+=`` loop over Python floats (``sum()`` compensates float sums from
+    Python 3.12 on, which would change the last bits).
+    """
+    path, _ = bellman_path(x, y)
+    xl, yl = x.tolist(), y.tolist()
+    total = 0.0
+    for i, j in path:
+        total += abs(xl[i - 1] - yl[j - 1])
+    return total

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from dtwsi import baselines
 from dtwsi.baselines import (
     data_splitting_test,
     permutation_test,
@@ -26,7 +27,7 @@ from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.inference import nuisance_decomposition, selective_p_value, z2_region
 from dtwsi.intervals import IntervalUnion, solve_quadratic_leq
 from dtwsi.parametric import DataLine, quadratic_loss
-from dense_views import path_cost
+from dense_views import abs_alignment_statistic, path_cost
 
 INF = math.inf
 
@@ -292,6 +293,19 @@ class TestOcPValue:
         assert oc == si_dtw_oc_p_value(pair).region
 
 
+def reference_permutation_test(pair, B, seed):
+    """One scalar Bellman solve per replicate, swaps drawn one replicate at a time."""
+    x, y = pair.x, pair.y
+    t_obs = abs_alignment_statistic(x, y)
+    rng = np.random.default_rng(seed)
+    hits = 0
+    for _ in range(B):
+        swap = rng.random(pair.n) < 0.5
+        if t_obs <= abs_alignment_statistic(np.where(swap, y, x), np.where(swap, x, y)):
+            hits += 1
+    return hits / B
+
+
 class TestPermutation:
     def test_identical_series_give_one(self):
         x = np.array([0.1, -0.7, 1.3, 0.4])
@@ -314,6 +328,32 @@ class TestPermutation:
             if not (np.random.default_rng(s).random(4) < 0.5).any()
         )
         assert permutation_test(pair, B=1, seed=seed) == 1.0
+
+    @pytest.mark.parametrize("n", [5, 30])
+    def test_matches_reference_loop(self, n, monkeypatch):
+        def no_scalar_solve(*_):
+            raise AssertionError("permutation_test ran a scalar Bellman solve")
+
+        for seed in range(4):
+            rng = np.random.default_rng([n, seed])
+            x, y = rng.normal(size=n), rng.normal(size=n) + 0.3 * seed
+            if seed % 2:
+                x, y = np.round(x, 1), np.round(y, 1)  # ties
+            pair = TimeSeriesPair(x, y)
+            want = reference_permutation_test(pair, 200, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(baselines, "bellman_path", no_scalar_solve)
+                patch.setattr(baselines, "accumulated_cost", no_scalar_solve)
+                assert permutation_test(pair, 200, seed) == want
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_chunks_keep_the_p_value(self, rows, monkeypatch):
+        rng = np.random.default_rng(3)
+        pair = TimeSeriesPair(rng.normal(size=6), rng.normal(size=6))
+        whole = permutation_test(pair, 50, 11)
+        assert 0.0 < whole < 1.0
+        monkeypatch.setattr(baselines, "PERMUTATION_CELL_BUDGET", rows * 36)
+        assert permutation_test(pair, 50, 11) == whole
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="equal lengths"):

@@ -7,6 +7,8 @@ from hypothesis import given, settings, strategies as st
 from dtwsi.dtw_core import (
     AlignmentMatrix,
     TimeSeriesPair,
+    accumulated_cost,
+    bellman_abs_sums,
     bellman_path,
     cost_matrix,
     delannoy,
@@ -17,7 +19,7 @@ from dtwsi.dtw_core import (
 )
 from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.dtw_core import test_statistic as statistic_of
-from dense_views import omega_matrix, path_cost, path_vec, scatter_path
+from dense_views import abs_alignment_statistic, omega_matrix, path_cost, path_vec, scatter_path
 
 
 def brute_force_distance(pair):
@@ -193,6 +195,49 @@ class TestBellmanPath:
             M_dtw, cost_dtw = dtw(pair)
             assert M_dtw == M
             assert cost.hex() == cost_dtw.hex()
+
+
+def path_has_tie(x, y):
+    """Whether the Bellman traceback of ``x, y`` meets a tied minimum on its way back."""
+    table = accumulated_cost(cost_matrix(TimeSeriesPair(x, y)).tolist())
+    path, _ = bellman_path(x, y)
+    for i, j in path[1:]:
+        i, j = i - 1, j - 1
+        if i and j:
+            d, v, h = table[i - 1][j - 1], table[i - 1][j], table[i][j - 1]
+            if (d, v, h).count(min(d, v, h)) > 1:
+                return True
+    return False
+
+
+class TestBellmanAbsSums:
+    """The batched wavefront against the scalar solve, bit for bit."""
+
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_matches_scalar_oracle(self, decimals):
+        rng = np.random.default_rng(0 if decimals is None else 1 + decimals)
+        ties = 0
+        for n in range(1, 13):
+            for m in range(1, 13):
+                xs, ys = rng.normal(size=(5, n)), rng.normal(size=(5, m))
+                if decimals is not None:
+                    xs, ys = np.round(xs, decimals), np.round(ys, decimals)
+                got = bellman_abs_sums(xs, ys)
+                assert got.shape == (5,)
+                for r in range(5):
+                    assert got[r].hex() == abs_alignment_statistic(xs[r], ys[r]).hex(), (n, m, r)
+                    ties += path_has_tie(xs[r], ys[r])
+        if decimals is not None:
+            assert ties > 50  # the tie-break is exercised, not just the minimum
+
+    def test_vertical_tie_beats_horizontal(self):
+        # At the last cell the vertical and horizontal predecessors tie (13)
+        # below the diagonal one (17).  Bellman steps up, and the path it
+        # leaves sums to 9; stepping left would give 7.
+        x, y = np.array([0.0, 1.0, -2.0]), np.array([-2.0, -2.0, -2.0, 0.0])
+        path, _ = bellman_path(x, y)
+        assert path[-2:] == ((2, 4), (3, 4))
+        assert bellman_abs_sums(x[None], y[None]).tolist() == [9.0]
 
 
 class TestOmega:
