@@ -110,7 +110,8 @@ def permutation_test(pair: TimeSeriesPair, B: int, seed: int) -> float:
     rows = max(1, PERMUTATION_CELL_BUDGET // (n * n))
     stats = []
     for start in range(0, B + 1, rows):
-        swap = rng.random((min(start + rows, B + 1) - max(start, 1), n)) < 0.5
+        stop = min(start + rows, B + 1)
+        swap = rng.random((stop - max(start, 1), n)) < 0.5
         if start == 0:
             swap = np.vstack([np.zeros((1, n), dtype=bool), swap])  # row 0: the observed pair
         stats.append(bellman_abs_sums(np.where(swap, y, x), np.where(swap, x, y)))
