@@ -23,7 +23,7 @@ from .dtw_core import (
     cost_matrix,
 )
 from .inference import InferenceResult, conditional_test
-from .intervals import IntervalUnion, solve_quadratic_leq
+from .intervals import IntervalUnion, solve_quadratic_system
 from .parametric import DataLine, cell_terms
 
 __all__ = [
@@ -74,14 +74,9 @@ def si_dtw_oc_constraints(pair: TimeSeriesPair, line: DataLine) -> list[tuple[fl
 def si_dtw_oc_region(pair: TimeSeriesPair, line: DataLine) -> IntervalUnion:
     """Line region where every alignment sub-problem keeps its observed optimizer.
 
-    Intersects the closed-form solutions of all per-cell constraints.
+    Solves all per-cell constraints at once (``solve_quadratic_system``).
     """
-    region = IntervalUnion.real_line()
-    for alpha, beta, gamma in si_dtw_oc_constraints(pair, line):
-        region = region.intersect(solve_quadratic_leq(alpha, beta, gamma))
-        if region.is_empty:
-            break
-    return region
+    return solve_quadratic_system(si_dtw_oc_constraints(pair, line))
 
 
 def si_dtw_oc_p_value(pair: TimeSeriesPair) -> InferenceResult:

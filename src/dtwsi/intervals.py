@@ -12,7 +12,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-__all__ = ["IntervalUnion", "solve_quadratic_leq"]
+import numpy as np
+
+__all__ = ["IntervalUnion", "solve_quadratic_leq", "solve_quadratic_system"]
 
 # Leading coefficients this small relative to the rest (floored at 1 sigma
 # unit) are roundoff residue of a linear constraint; solving them as quadratics
@@ -137,8 +139,9 @@ def solve_quadratic_leq(alpha: float, beta: float, gamma: float) -> IntervalUnio
     """Solution set of ``alpha z^2 + beta z + gamma <= 0`` in closed form.
 
     Selection events on the data line are intersections of such sets: the
-    over-conditioned event's per-cell constraints, and the witness cuts that
-    bound the exact event before its envelope is built.
+    witness cuts that bound the exact event before its envelope is built,
+    and the over-conditioned event's per-cell constraints, which
+    ``solve_quadratic_system`` solves all at once with this formula.
     """
     scale = max(1.0, abs(beta), abs(gamma))
     if abs(alpha) <= CURVATURE_SNAP * scale:
@@ -162,3 +165,61 @@ def solve_quadratic_leq(alpha: float, beta: float, gamma: float) -> IntervalUnio
     if alpha > 0.0:
         return IntervalUnion([(r1, r2)])
     return IntervalUnion([(-math.inf, r1), (r2, math.inf)])
+
+
+def solve_quadratic_system(constraints) -> IntervalUnion:
+    """Common solution set of ``alpha z^2 + beta z + gamma <= 0`` for every row.
+
+    ``constraints`` holds ``(alpha, beta, gamma)`` rows.  Each row's set is
+    the one ``solve_quadratic_leq`` returns, from the same root formula and
+    the same ``CURVATURE_SNAP``, and the result equals their intersection
+    taken one row at a time, endpoint for endpoint.  Linear and convex rows
+    bound one interval ``[start, stop]``; concave rows with two distinct
+    roots punch open holes ``(r1, r2)`` in it, removed in one sorted sweep.
+    A point between two touching holes survives.
+    """
+    alpha, beta, gamma = np.asarray(constraints, dtype=float).reshape(-1, 3).T
+    scale = np.maximum(1.0, np.maximum(np.abs(beta), np.abs(gamma)))
+    linear = np.abs(alpha) <= CURVATURE_SNAP * scale
+    disc = beta * beta - 4.0 * alpha * gamma
+    real = ~linear & (disc >= 0.0)
+    if np.any(linear & (beta == 0.0) & (gamma > 0.0)) or np.any(~linear & ~real & (alpha > 0.0)):
+        return IntervalUnion.empty()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        sq = np.sqrt(np.where(real, disc, 0.0))
+        q = np.where(beta >= 0.0, -0.5 * (beta + sq), -0.5 * (beta - sq))
+        r1 = np.where(q != 0.0, q / alpha, 0.0)
+        r2 = np.where(q != 0.0, gamma / q, -beta / alpha)
+        root = -gamma / beta
+    r1, r2 = np.where(r1 > r2, r2, r1), np.where(r1 > r2, r1, r2)
+    convex = real & (alpha > 0.0)
+    holes = real & (alpha < 0.0) & (r1 < r2)
+    lows = np.where(linear & (beta < 0.0), root, np.where(convex, r1, -math.inf))
+    highs = np.where(linear & (beta > 0.0), root, np.where(convex, r2, math.inf))
+    start = float(lows.max(initial=-math.inf))
+    stop = float(highs.min(initial=math.inf))
+    pieces = []
+    for h1, h2 in sorted(zip(r1[holes].tolist(), r2[holes].tolist())):
+        if h1 >= stop:
+            break
+        if h1 >= start:
+            pieces.append((start, h1))
+            start = h2
+        elif h2 > start:
+            start = h2
+    if start <= stop:
+        pieces.append((start, stop))
+    # a piece starts at a lower bound or where a hole ends, and stops likewise
+    lows, highs = np.where(holes, r2, lows), np.where(holes, r1, highs)
+    return IntervalUnion((_first_zero(lo, lows), _first_zero(hi, highs)) for lo, hi in pieces)
+
+
+def _first_zero(end: float, ends: np.ndarray) -> float:
+    """``end``, with the sign a zero end gets from a one-row-at-a-time intersection.
+
+    Intersecting keeps the earlier of two equal endpoints, so a zero end
+    carries the sign of the first row that has an end there.
+    """
+    if end != 0.0:
+        return end
+    return float(ends[np.flatnonzero(ends == 0.0)[0]])

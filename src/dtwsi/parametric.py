@@ -48,8 +48,9 @@ CELL_BOUND_MARGIN = 1e-9
 # this, relative to ``1 + q_obs(t_obs)`` (losses are in sigma^2), so roundoff
 # in either loss cannot cut into the selection region.
 WITNESS_SLACK = 1e-6
-# Witness grid: this many points, and an unbounded window end clipped this far
-# from the observed statistic (sigma units).  They move speed, not results.
+# Witness probes: at most this many per region, each one step, 1/(WITNESS_GRID-1)
+# of the hull clipped this far either side of the observed statistic (sigma
+# units), inside an end of the hull.  They move speed, not results.
 WITNESS_GRID = 24
 WITNESS_REACH = 20.0
 
@@ -474,15 +475,24 @@ def si_dtw_region(
     """Where the envelope carries ``M_obs``, built on a witness hull inside the window.
 
     The region builder of the exact method (see ``inference.conditional_test``
-    for the arguments).  Witnesses shrink the window first.  At grid points
-    of the window, the path ``w`` optimal there has a loss ``q_w`` that
-    bounds the envelope from above, so wherever ``q_w < q_obs`` the observed
-    path ``M_obs`` is not optimal: that set lies outside the selection
-    region.  Each witness cuts the window to ``{q_obs - q_w <= slack}``, a
-    superset of what is left of the region.  The envelope is built on the
-    hull of the cuts; ``para_dtw`` then skips the cells no path optimal in
-    that hull can use.  Every filter keeps a superset of the region, so the
-    grid moves speed only.
+    for the arguments).  Witnesses shrink the window first.  At a probe
+    point, the path ``w`` optimal there has a loss ``q_w`` that bounds the
+    envelope from above, so wherever ``q_w < q_obs`` the observed path
+    ``M_obs`` is not optimal: that set lies outside the selection region.
+    Each witness cuts the hull to ``{q_obs - q_w <= slack}``, a superset of
+    what is left of the region.
+
+    Probes start one step inside each end of the hull and move inward, the
+    two ends taking turns; the step is ``1/(WITNESS_GRID-1)`` of the hull
+    clipped to ``t_obs +- WITNESS_REACH``.  An end whose probe returns
+    ``M_obs`` has reached the region and stops.  So does an end whose cut
+    keeps its probe (a near-tie within the slack, or a cut that keeps parts
+    on both sides of the probe): the end did not move past the probe.
+    Otherwise the end probes again one step inside its new position.  At most
+    ``WITNESS_GRID`` probes run in all.  The envelope is built on the final
+    hull; ``para_dtw`` then skips the cells no path optimal in that hull can
+    use.  Every filter keeps a superset of the region, so the probes move
+    speed only.
 
     A segment whose loss equals ``M_obs``'s within the tie band counts as
     ``M_obs``'s: ``M_obs`` is optimal there too.  Which of two paths with
@@ -494,8 +504,15 @@ def si_dtw_region(
     q_obs = quadratic_loss(M_obs, line)
     slack = WITNESS_SLACK * (1.0 + q_obs(t_obs))
     lo, hi = bounds
-    grid = np.linspace(max(lo, t_obs - WITNESS_REACH), min(hi, t_obs + WITNESS_REACH), WITNESS_GRID)
-    for t in grid.tolist():
+    reach_lo, reach_hi = t_obs - WITNESS_REACH, t_obs + WITNESS_REACH
+    sides = [1.0, -1.0]  # +1 probes up from the lower end, -1 down from the upper
+    for _ in range(WITNESS_GRID):
+        if not sides:
+            break
+        side = sides.pop(0)
+        first, last = max(lo, reach_lo), min(hi, reach_hi)
+        step = (last - first) / (WITNESS_GRID - 1)
+        t = first + step if side > 0 else last - step
         if not lo < t < hi:
             continue
         path, q = _optimal_at(line, t)
@@ -506,6 +523,10 @@ def si_dtw_region(
         if kept.is_empty:
             return kept
         lo, hi = kept.intervals[0][0], kept.intervals[-1][1]
+        # an end that did not move past its probe stops: probing again from
+        # there could repeat the probe forever
+        if not lo <= t <= hi:
+            sides.append(side)
     env = para_dtw(line, line.n, line.m, (lo, hi))
     bps = env.breakpoints
     return IntervalUnion(

@@ -25,7 +25,7 @@ from dtwsi.dtw_core import (
 )
 from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.inference import nuisance_decomposition, selective_p_value, z2_region
-from dtwsi.intervals import IntervalUnion, solve_quadratic_leq
+from dtwsi.intervals import IntervalUnion, solve_quadratic_leq, solve_quadratic_system
 from dtwsi.parametric import DataLine, quadratic_loss
 from dense_views import abs_alignment_statistic, path_cost
 
@@ -117,6 +117,88 @@ class TestSolveQuadraticLeq:
     def test_tiny_curvature_snaps_to_linear(self):
         region = solve_quadratic_leq(1e-15, 2.0, -4.0)
         assert region.intervals == ((-INF, 2.0),)
+
+
+def sequential_solution(constraints):
+    """The common solution set, one ``solve_quadratic_leq`` intersection at a time."""
+    region = IntervalUnion.real_line()
+    for c in constraints:
+        region = region.intersect(solve_quadratic_leq(*c))
+    return region
+
+
+def hex_pieces(region):
+    return [(lo.hex(), hi.hex()) for lo, hi in region]
+
+
+def holes(*roots):
+    """Concave rows ``-(z - r1)(z - r2) <= 0``: each cuts the open hole ``(r1, r2)``."""
+    return [(-1.0, r1 + r2, -r1 * r2) for r1, r2 in roots]
+
+
+BOX = [(1.0, -4.0, 0.0)]  # z^2 - 4z <= 0: [0, 4]
+
+HAND_MADE = {
+    "no rows": [],
+    "beta 0, gamma > 0": [(0.0, 0.0, 1.0), (1.0, 0.0, -4.0)],
+    "beta 0, gamma <= 0": [(0.0, 0.0, -1.0), (0.0, 0.0, 0.0), (1.0, 0.0, -4.0)],
+    "linear bounds": [(0.0, 2.0, -4.0), (0.0, -1.0, -3.0), (1e-15, 1.0, -1.0)],
+    "convex, disc < 0": BOX + [(1.0, 0.0, 1.0)],
+    "concave, disc < 0": BOX + [(-1.0, 0.0, -1.0)],
+    "convex rows disjoint": BOX + [(1.0, -11.0, 30.0)],
+    "zero-width hole": BOX + holes((1.0, 1.0)),
+    "q = 0, convex": [(1.0, 0.0, 0.0)],
+    "q = 0, concave": BOX + [(-1.0, 0.0, 0.0)],
+    "touching holes": BOX + holes((2.0, 3.0), (1.0, 2.0)),
+    "overlapping and nested holes": BOX + holes((1.0, 2.5), (2.0, 3.0), (1.5, 1.75)),
+    "holes at the ends": BOX + holes((0.0, 1.0), (3.0, 4.0)),
+    "holes outside [L, U]": BOX + holes((-3.0, -2.0), (-1.0, 0.5), (3.5, 5.0), (6.0, 7.0)),
+    "hole covering [L, U]": BOX + holes((-1.0, 5.0)),
+    "holes without bounds": holes((1.0, 2.0), (2.0, 3.0), (-5.0, -4.0)),
+}
+
+
+class TestQuadraticSystem:
+    @pytest.mark.parametrize("name", sorted(HAND_MADE))
+    def test_hand_made_sets_match_sequential(self, name):
+        constraints = HAND_MADE[name]
+        assert hex_pieces(solve_quadratic_system(constraints)) == hex_pieces(
+            sequential_solution(constraints)
+        )
+
+    def test_touching_holes_keep_their_common_point(self):
+        region = solve_quadratic_system(HAND_MADE["touching holes"])
+        assert region.intervals == ((0.0, 1.0), (2.0, 2.0), (3.0, 4.0))
+
+    def test_random_root_grids_match_sequential(self):
+        # roots on a coarse grid, so holes touch, nest and overlap, and ends coincide
+        rng = np.random.default_rng(31)
+        pieces = 0
+        for _ in range(400):
+            k = int(rng.integers(1, 8))
+            roots = np.sort(rng.integers(-4, 5, size=(k, 2)) / 2.0, axis=1)
+            sign = rng.choice([-1.0, 1.0], size=k)
+            rows = [(s, -s * (r1 + r2), s * r1 * r2) for s, (r1, r2) in zip(sign, roots.tolist())]
+            linear = rng.integers(-2, 3, size=(int(rng.integers(0, 3)), 2)).astype(float)
+            rows += [(0.0, b, c) for b, c in linear.tolist()]
+            want = sequential_solution(rows)
+            assert hex_pieces(solve_quadratic_system(rows)) == hex_pieces(want)
+            pieces += len(want) > 1
+        assert pieces >= 40
+
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_oc_constraints_match_sequential(self, decimals):
+        for seed in range(30):
+            rng = np.random.default_rng([32, seed])
+            n, m = (int(v) for v in rng.integers(2, 13, size=2))
+            x, y = rng.normal(size=n), rng.normal(size=m)
+            if decimals is not None:
+                x, y = np.round(x, decimals), np.round(y, decimals)
+            pair = TimeSeriesPair(x, y)
+            _, _, line = observed_line(pair)
+            constraints = si_dtw_oc_constraints(pair, line)
+            want = hex_pieces(sequential_solution(constraints))
+            assert hex_pieces(si_dtw_oc_region(pair, line)) == want
 
 
 class TestQuadraticConstraint:

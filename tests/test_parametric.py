@@ -453,6 +453,96 @@ class TestWitnessHull:
             assert hull.region == whole.region
 
 
+def builder_inputs(pair):
+    """The arguments ``selective_p_value`` passes to ``si_dtw_region`` for ``pair``."""
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return IntervalUnion.real_line()
+
+    conditional_test(pair, recording)
+    return calls[0]
+
+
+def record_solves(monkeypatch):
+    """Every Bellman solve of the region builder: ``(t, path, loss)``, in call order."""
+    solves = []
+    solve = parametric._optimal_at
+
+    def recording(line, t):
+        path, q = solve(line, t)
+        solves.append((t, path, q))
+        return path, q
+
+    monkeypatch.setattr(parametric, "_optimal_at", recording)
+    return solves
+
+
+class TestWitnessProbes:
+    @pytest.mark.parametrize("decimals", [None, 0])
+    def test_at_most_grid_solves_and_the_cell_bound(self, monkeypatch, decimals):
+        solves = record_solves(monkeypatch)
+        most = 0
+        for seed in range(40):
+            rng = np.random.default_rng([20, seed])
+            n, m = (int(v) for v in rng.integers(2, 26, size=2))
+            x, y = rng.normal(size=n), rng.normal(size=m)
+            if decimals is not None:
+                x, y = np.round(x, decimals), np.round(y, decimals)
+            solves.clear()
+            outcome(selective_p_value, TimeSeriesPair(x, y))
+            assert len(solves) <= parametric.WITNESS_GRID + 1
+            most = max(most, len(solves))
+        assert most >= 4
+
+    def test_budget_stops_probes_that_always_cut(self, monkeypatch):
+        # every witness beats M_obs from its end of the hull to just past the
+        # probe, so every cut moves that end inward and only the budget stops them
+        pair = TimeSeriesPair(*np.random.default_rng(7).normal(size=(2, 12)))
+        line, M, _, t_obs = builder_inputs(pair)
+        q_obs = quadratic_loss(M, line)
+        probes = []
+
+        def cutting(line, t):
+            probes.append(t)
+            # q_obs - q = side (t - z) + 0.01: the cut removes everything from
+            # the probe's end of the window to 0.01 past the probe
+            side = 1.0 if t < t_obs else -1.0
+            q = QuadraticLoss(q_obs.w0 - side * t - 0.01, q_obs.w1 + side, q_obs.w2)
+            return ((0, 0),), q
+
+        def hull_only(line, n, m, hull):
+            return PiecewiseEnvelope(hull, ((M, q_obs),))
+
+        monkeypatch.setattr(parametric, "_optimal_at", cutting)
+        monkeypatch.setattr(parametric, "para_dtw", hull_only)
+        window = IntervalUnion([(t_obs - 5.0, t_obs + 5.0)])
+        region = parametric.si_dtw_region(line, M, window, t_obs)
+        assert len(probes) == parametric.WITNESS_GRID
+        # the probes alternate between the two ends and move inward
+        below, above = probes[0::2], probes[1::2]
+        assert below == sorted(below) and above == sorted(above, reverse=True)
+        assert max(below) < min(above)
+        ((lo, hi),) = region.intervals  # the final hull
+        assert max(below) < lo < hi < min(above)
+
+    def test_cut_that_keeps_its_probe_ends_the_side(self, monkeypatch):
+        # Integer data on which M_obs is optimal only at t_obs, a tie point.
+        # Probes near it find a path whose loss is within WITNESS_SLACK of
+        # M_obs's, so the cut keeps the probe and that end stops probing.
+        pair = TimeSeriesPair([1, 1, -1, 1, 1, -1, 1], [0, 1, 1, 1, 0, 0, -1])
+        line, M, window, t_obs = builder_inputs(pair)
+        q_obs = quadratic_loss(M, line)
+        slack = parametric.WITNESS_SLACK * (1.0 + q_obs(t_obs))
+        solves = record_solves(monkeypatch)
+        parametric.si_dtw_region(line, M, window, t_obs)
+        witnesses = solves[:-1]  # the last solve is the cell bound's
+        kept = [t for t, path, q in witnesses if path != M.path and q_obs(t) - q(t) <= slack]
+        assert kept
+        assert len(witnesses) <= 6
+
+
 class TestZ1Region:
     def test_contains_selected_segment(self):
         rng = np.random.default_rng(8)
