@@ -40,35 +40,38 @@ __all__ = [
 PERMUTATION_CELL_BUDGET = 2**20
 
 
-def si_dtw_oc_constraints(pair: TimeSeriesPair, line: DataLine) -> list[tuple[float, float, float]]:
+def si_dtw_oc_constraints(pair: TimeSeriesPair, line: DataLine) -> np.ndarray:
     """Per-cell quadratic constraints of the fully conditioned selection event.
 
     For every interior cell, the observed predecessor must beat the other two;
     the shared cell cost cancels, leaving the difference of the two observed
-    sub-path losses along the line.  Returned as ``(alpha, beta, gamma)``
-    triples with the convention ``alpha z^2 + beta z + gamma <= 0``.
+    sub-path losses along the line.  Returned as a ``(k, 3)`` array of rows
+    ``(alpha, beta, gamma)`` with the convention ``alpha z^2 + beta z + gamma
+    <= 0``: cells in row-major order, and within a cell the two other
+    predecessors in diagonal, vertical, horizontal order.
     """
     n, m = pair.n, pair.m
     table = accumulated_cost(cost_matrix(pair).tolist())
-    term = cell_terms(line)
-    # loss quadratic (w0, w1, w2) of the observed optimal sub-path, per cell
-    q = [[None] * m for _ in range(n)]
-    constraints = []
+    t0, t1, t2 = (t.ravel().tolist() for t in cell_terms(line))
+    # per cell k = i * m + j: the loss quadratic (q0, q1, q2) of the observed
+    # optimal sub-path, and the cell its Bellman predecessor
+    q0, q1, q2 = ([0.0] * (n * m) for _ in range(3))
+    pred = [0] * (n * m)
+    q0[0], q1[0], q2[0] = 0.0 + t0[0], 0.0 + t1[0], 0.0 + t2[0]  # a sum from 0.0: no -0.0
     for i in range(n):
-        for j in range(m):
-            if i or j:
-                ci, cj = bellman_predecessor(table, i, j)
-                c0, c1, c2 = q[ci][cj]
-            else:
-                c0 = c1 = c2 = 0.0
-            t0, t1, t2 = term(i, j)
-            q[i][j] = (c0 + t0, c1 + t1, c2 + t2)
-            if i and j:
-                for pi, pj in ((i - 1, j - 1), (i - 1, j), (i, j - 1)):
-                    if (pi, pj) != (ci, cj):
-                        p0, p1, p2 = q[pi][pj]
-                        constraints.append((c2 - p2, c1 - p1, c0 - p0))
-    return constraints
+        for j in range(i == 0, m):
+            ci, cj = bellman_predecessor(table, i, j)
+            k, p = i * m + j, ci * m + cj
+            pred[k] = p
+            q0[k], q1[k], q2[k] = q0[p] + t0[k], q1[p] + t1[k], q2[p] + t2[k]
+    # every interior cell: its diagonal, vertical and horizontal predecessor,
+    # of which the two the path does not take each give a row
+    cells = np.arange(n * m).reshape(n, m)[1:, 1:].ravel()
+    chosen = np.array(pred)[cells]
+    preds = cells[:, None] - np.array([m + 1, m, 1])
+    others = preds[preds != chosen[:, None]]
+    q = np.array([q2, q1, q0])
+    return (q[:, chosen.repeat(2)] - q[:, others]).T
 
 
 def si_dtw_oc_region(pair: TimeSeriesPair, line: DataLine) -> IntervalUnion:

@@ -127,54 +127,42 @@ def z2_region(line: DataLine, M: AlignmentMatrix, s_obs: np.ndarray) -> Interval
     return IntervalUnion([(lo, hi)])
 
 
-def _log1mexp(t: float) -> float:
-    """``log(1 - exp(t))`` for ``t <= 0`` without intermediate cancellation."""
-    if t >= 0.0:
-        return -math.inf
-    if t > -math.log(2.0):
-        return math.log(-math.expm1(t))
-    return math.log1p(-math.exp(t))
-
-
 def _log_mass_standard(lo: float, hi: float) -> float:
     """Log-probability of a standard normal landing in ``[lo, hi]``.
 
     Evaluated as a difference of tail log-probabilities on the side where the
-    interval lies, so far-tail intervals do not cancel to zero.
+    interval lies, ``a + log(1 - exp(b - a))`` with ``b <= a``, so far-tail
+    intervals do not cancel to zero.
     """
     if hi <= lo:
         return -math.inf
     if hi <= 0.0:
         a, b = log_ndtr(hi), log_ndtr(lo)
-        return a + _log1mexp(min(b - a, 0.0))
-    if lo >= 0.0:
+    elif lo >= 0.0:
         a, b = log_ndtr(-lo), log_ndtr(-hi)
-        return a + _log1mexp(min(b - a, 0.0))
-    return np.logaddexp(_log_mass_standard(lo, 0.0), _log_mass_standard(0.0, hi))
+    else:
+        return np.logaddexp(_log_mass_standard(lo, 0.0), _log_mass_standard(0.0, hi))
+    t = b - a
+    if t >= 0.0:
+        return -math.inf
+    if t > -math.log(2.0):
+        return a + math.log(-math.expm1(t))
+    return a + math.log1p(-math.exp(t))
 
 
-def _log_region_mass(region: IntervalUnion, mean: float, sigma: float) -> float:
-    masses = [
-        _log_mass_standard((lo - mean) / sigma, (hi - mean) / sigma) for lo, hi in region
-    ]
+def _log_mass(pieces: tuple[tuple[float, float], ...], mean: float, sigma: float) -> float:
+    """Log-mass of ``N(mean, sigma^2)`` on the union of ``pieces``, by log-sum-exp.
+
+    A single piece's log-sum-exp is its own log-mass, returned as is.
+    """
+    if len(pieces) == 1:
+        ((lo, hi),) = pieces
+        return _log_mass_standard((lo - mean) / sigma, (hi - mean) / sigma)
+    masses = [_log_mass_standard((lo - mean) / sigma, (hi - mean) / sigma) for lo, hi in pieces]
     top = max(masses)
     if top == -math.inf:
         return -math.inf
     return top + math.log(sum(math.exp(v - top) for v in masses))
-
-
-def _truncated_sf(upper: IntervalUnion, sigma: float, mean: float, log_den: float) -> float:
-    """Upper-tail probability of ``N(mean, sigma^2)`` restricted to a region.
-
-    ``upper`` is the region clipped below at the observed statistic and
-    ``log_den`` the whole region's log-mass under that law.
-    """
-    if upper.is_empty:
-        return 0.0
-    log_num = _log_region_mass(upper, mean, sigma)
-    if log_num == -math.inf:
-        return 0.0
-    return min(1.0, math.exp(log_num - log_den))
 
 
 def truncated_gaussian_sf(z_obs: float, sigma: float, region: IntervalUnion) -> float:
@@ -197,12 +185,14 @@ def truncated_gaussian_sf(z_obs: float, sigma: float, region: IntervalUnion) -> 
         raise ValueError("truncation region is empty")
     if not region.contains(z_obs, tol=_membership_tol(sigma, z_obs)):
         raise ValueError(f"z_obs={z_obs} lies outside the truncation region {region}")
-    log_den = _log_region_mass(region, 0.0, sigma)
+    log_den = _log_mass(region.intervals, 0.0, sigma)
     if log_den < UNDERFLOW_LOG_MASS:
         raise RegionMassUnderflowError(
             f"region mass underflow: log-mass {log_den:.2f} below {UNDERFLOW_LOG_MASS}"
         )
-    return _truncated_sf(region.clip_lower(z_obs), sigma, 0.0, log_den)
+    upper = region.clip_lower(z_obs).intervals
+    log_num = _log_mass(upper, 0.0, sigma) if upper else -math.inf
+    return 0.0 if log_num == -math.inf else min(1.0, math.exp(log_num - log_den))
 
 
 def truncated_gaussian_ci(
@@ -233,29 +223,37 @@ def truncated_gaussian_ci(
             f"region {region}, so the tail probability is the same for every mean"
         )
 
+    # Memoized: the brackets of both bounds start from the same points.
+    pieces, upper_pieces = region.intervals, upper.intervals
+    tails: dict[float, float] = {}
+
     def tail(theta: float) -> float:
-        log_den = _log_region_mass(region, theta, sigma)
-        if log_den == -math.inf:
-            raise RegionMassUnderflowError("region mass underflow: region has zero width")
-        return _truncated_sf(upper, sigma, theta, log_den)
+        if theta not in tails:
+            log_den = _log_mass(pieces, theta, sigma)
+            if log_den == -math.inf:
+                raise RegionMassUnderflowError("region mass underflow: region has zero width")
+            log_num = _log_mass(upper_pieces, theta, sigma)
+            tails[theta] = 0.0 if log_num == -math.inf else min(1.0, math.exp(log_num - log_den))
+        return tails[theta]
 
     # Equal-tailed bounds sit roughly sigma^2 / (z_obs - edge) away when the
     # statistic is close to a truncation endpoint, which can be hundreds of
     # sigma; keep doubling until the tail flips, with a generous hard cap.
     max_width = 2.0**40
 
-    def bracket(target: float, sign: float, flipped) -> float:
+    def bracket(target: float, sign: float) -> float:
         width = 2.0
         while width <= max_width:
             theta = z_obs + sign * width * sigma
-            if flipped(tail(theta), target):
+            p = tail(theta)
+            if (p <= target) if sign < 0.0 else (p >= target):
                 return theta
             width *= 2.0
         raise ArithmeticError(f"confidence bound bracket failed within {max_width} sigma")
 
     def solve(target: float) -> float:
-        lo = bracket(target, -1.0, lambda t, tgt: t <= tgt)
-        hi = bracket(target, +1.0, lambda t, tgt: t >= tgt)
+        lo = bracket(target, -1.0)
+        hi = bracket(target, +1.0)
         while hi - lo > 1e-8 * sigma:
             mid = 0.5 * (lo + hi)
             if tail(mid) < target:

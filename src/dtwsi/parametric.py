@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -157,22 +156,17 @@ class PiecewiseEnvelope:
         return self.segments[self.segment_index_at(z)][1](z)
 
 
-def cell_terms(line: DataLine) -> Callable[[int, int], tuple[float, float, float]]:
-    """The per-cell loss term along the line, as a function of 0-based ``(i, j)``.
+def cell_terms(line: DataLine) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-cell loss terms along the line, as three ``n x m`` tables.
 
-    Cell ``(i, j)`` costs ``(da + db z)^2`` with ``da = a1[i] - a2[j]`` and
-    ``db = b1[i] - b2[j]``; the returned function gives its coefficients
-    ``(da^2, 2 da db, db^2)``.  Every path loss along the line is a sum of
+    Cell ``(i, j)`` (0-based) costs ``(da + db z)^2`` with ``da = a1[i] - a2[j]``
+    and ``db = b1[i] - b2[j]``; the tables hold its coefficients ``da^2``,
+    ``2 da db`` and ``db^2``.  Every path loss along the line is a sum of
     these terms, and every loss computed in this package takes them from here.
     """
-    a1, a2, b1, b2 = (v.tolist() for v in (line.a1, line.a2, line.b1, line.b2))
-
-    def term(i: int, j: int) -> tuple[float, float, float]:
-        da = a1[i] - a2[j]
-        db = b1[i] - b2[j]
-        return da * da, 2.0 * da * db, db * db
-
-    return term
+    da = np.subtract.outer(line.a1, line.a2)
+    db = np.subtract.outer(line.b1, line.b2)
+    return da * da, 2.0 * da * db, db * db
 
 
 def quadratic_loss(M: AlignmentMatrix, line: DataLine) -> QuadraticLoss:
@@ -181,31 +175,40 @@ def quadratic_loss(M: AlignmentMatrix, line: DataLine) -> QuadraticLoss:
     Accumulates the per-cell terms in path order, so repeated evaluation and
     the incremental table recursion agree bit for bit.
     """
+    _check_split(M, line)
+    return _path_loss(M.path, cell_terms(line))
+
+
+def _check_split(M: AlignmentMatrix, line: DataLine) -> None:
     if M.n != line.n or M.m != line.m:
         raise ValueError(
             f"alignment is {M.n}x{M.m} but line splits {line.n}+{line.m}"
         )
-    return _path_loss(M.path, cell_terms(line))
 
 
-def _path_loss(path, term) -> QuadraticLoss:
+def _path_loss(path, terms) -> QuadraticLoss:
+    """Sum of the ``cell_terms`` tables ``terms`` along a 1-based path, in path order."""
+    m = terms[0].shape[1]
+    cells = np.array([i * m + j for i, j in path]) - (m + 1)  # flat 0-based indices
     w0 = w1 = w2 = 0.0
-    for i, j in path:
-        t0, t1, t2 = term(i - 1, j - 1)
+    for t0, t1, t2 in zip(*(t.take(cells).tolist() for t in terms)):
         w0 += t0
         w1 += t1
         w2 += t2
     return QuadraticLoss(w0, w1, w2)
 
 
-def _optimal_at(line: DataLine, z: float) -> tuple[tuple[tuple[int, int], ...], QuadraticLoss]:
+def _optimal_at(
+    line: DataLine, z: float, terms
+) -> tuple[tuple[tuple[int, int], ...], QuadraticLoss]:
     """A path optimal at ``z`` (Bellman on the series at ``z``) and its loss quadratic.
 
-    Any path's loss bounds the envelope from above everywhere, so callers may
-    use the result as a bound; it is exact only at ``z`` and up to roundoff.
+    ``terms`` are the line's ``cell_terms``.  Any path's loss bounds the
+    envelope from above everywhere, so callers may use the result as a
+    bound; it is exact only at ``z`` and up to roundoff.
     """
     path, _ = bellman_path(line.a1 + line.b1 * z, line.a2 + line.b2 * z)
-    return path, _path_loss(path, cell_terms(line))
+    return path, _path_loss(path, terms)
 
 
 def _crossing_root(d2: float, d1: float, d0: float, z: float) -> float:
@@ -251,8 +254,13 @@ def _walk_envelope(
     ``-inf`` alone would be correct for every window, but the start at
     ``lo`` skips the crossings left of the window; without it the
     benchmark's ``single-pair`` throughput drops by about a quarter.
+
+    A lone candidate, or a walk whose active candidate is not crossed before
+    ``hi``, returns its one segment at once: there is nothing to merge.
     """
     K = len(cands)
+    if K == 1:
+        return [lo, hi], [0]
     active = None
     if lo > -math.inf:
         at_lo = [(w2 * lo + w1) * lo + w0 for _, w0, w1, w2 in cands]
@@ -282,6 +290,8 @@ def _walk_envelope(
                 best = r
         # also stops when nothing crosses (best == inf), even for hi == inf
         if best >= hi:
+            if len(order) == 1:
+                return [lo, hi], order  # one segment: nothing to merge
             break
         # Losses of paths differing by a cell whose cost vanishes at some z*
         # all tie there, so multi-way crossings at one point are routine, and
@@ -307,14 +317,14 @@ def _walk_envelope(
 
 
 def _minimal_after(kept: list[int], z: float, cands) -> int:
-    values = {k: (cands[k][3] * z + cands[k][2]) * z + cands[k][1] for k in kept}
-    floor = min(values.values())
+    values = [(cands[k][3] * z + cands[k][2]) * z + cands[k][1] for k in kept]
+    floor = min(values)
     tol = TIE_BAND * (1.0 + abs(floor))
-    kept = [k for k in kept if values[k] <= floor + tol]
-    slopes = {k: 2.0 * cands[k][3] * z + cands[k][2] for k in kept}
-    floor = min(slopes.values())
+    kept = [k for k, v in zip(kept, values) if v <= floor + tol]
+    slopes = [2.0 * cands[k][3] * z + cands[k][2] for k in kept]
+    floor = min(slopes)
     tol = TIE_BAND * (1.0 + abs(floor))
-    kept = [k for k in kept if slopes[k] <= floor + tol]
+    kept = [k for k, v in zip(kept, slopes) if v <= floor + tol]
     floor = min(cands[k][3] for k in kept)
     tol = TIE_BAND * (1.0 + abs(floor))
     kept = [k for k in kept if cands[k][3] <= floor + tol]
@@ -363,9 +373,11 @@ def envelope_bruteforce(candidates, line: DataLine) -> PiecewiseEnvelope:
     candidates = list(candidates)
     if not candidates:
         raise ValueError("candidate set must be non-empty")
+    terms = cell_terms(line)
     cands = []
     for M in candidates:
-        q = quadratic_loss(M, line)
+        _check_split(M, line)
+        q = _path_loss(M.path, terms)
         cands.append((M.path, q.w0, q.w1, q.w2))
     bps, order = _walk_envelope(cands)
     return _envelope(bps, order, cands, line.n, line.m)
@@ -398,37 +410,37 @@ def para_dtw(
     lo, hi = window
     if not lo <= hi:
         raise ValueError(f"window ({lo}, {hi}) is empty")
-    term = cell_terms(line)
-    skip = _unusable_cells(line, lo, hi)
-    table: list[list[list[tuple]]] = [[None] * m for _ in range(n)]
-    for i in range(n):
-        for j in range(m):
-            if skip[i][j]:
-                table[i][j] = []
+    terms = cell_terms(line)
+    usable = ~_unusable_cells(line, lo, hi, terms)
+    # the usable cells in row-major order, each with its three terms
+    cells = zip(np.argwhere(usable).tolist(), zip(*(t[usable].tolist() for t in terms)))
+    # skipped cells, and cells left without candidates, keep none
+    table: list[list[tuple]] = [[()] * m for _ in range(n)]
+    for (i, j), (t0, t1, t2) in cells:
+        cell = (i + 1, j + 1)
+        if i == 0 and j == 0:
+            cands = [(((1, 1),), t0, t1, t2)]
+        else:
+            # Extensions of different predecessor cells end in different
+            # penultimate cells, so no candidate path appears twice.  They
+            # are listed in the order of Bellman's tie-break.
+            cands = [
+                (path + (cell,), w0 + t0, w1 + t1, w2 + t2)
+                for pi, pj in ((i - 1, j - 1), (i - 1, j), (i, j - 1))
+                if pi >= 0 and pj >= 0
+                for path, w0, w1, w2 in table[pi][pj]
+            ]
+            if not cands:
                 continue
-            t0, t1, t2 = term(i, j)
-            cell = (i + 1, j + 1)
-            if i == 0 and j == 0:
-                cands = [(((1, 1),), t0, t1, t2)]
-            else:
-                # Extensions of different predecessor cells end in different
-                # penultimate cells, so no candidate path appears twice.  They
-                # are listed in the order of Bellman's tie-break.
-                cands = [
-                    (path + (cell,), w0 + t0, w1 + t1, w2 + t2)
-                    for pi, pj in ((i - 1, j - 1), (i - 1, j), (i, j - 1))
-                    if pi >= 0 and pj >= 0
-                    for path, w0, w1, w2 in table[pi][pj]
-                ]
-                if not cands:
-                    table[i][j] = []
-                    continue
-            bps, order = _walk_envelope(cands, lo, hi)
+        bps, order = _walk_envelope(cands, lo, hi)
+        if len(order) == 1:
+            table[i][j] = [cands[order[0]]]
+        else:
             table[i][j] = [cands[k] for k in dict.fromkeys(order)]
     return _envelope(bps, order, cands, n, m)
 
 
-def _unusable_cells(line: DataLine, lo: float, hi: float) -> list[list[bool]]:
+def _unusable_cells(line: DataLine, lo: float, hi: float, terms) -> np.ndarray:
     """Cells that no path optimal somewhere in ``[lo, hi]`` passes through.
 
     Cell ``(i, j)`` costs ``(da + db z)^2``, whose least value ``L`` over the
@@ -440,11 +452,12 @@ def _unusable_cells(line: DataLine, lo: float, hi: float) -> list[list[bool]]:
     ``cap`` throughout.  A cell whose bound exceeds ``cap`` (beyond
     ``CELL_BOUND_MARGIN``, for roundoff) therefore carries no path that is
     optimal anywhere in the window.  On an infinite window ``cap`` is
-    infinite and no cell is unusable.
+    infinite and no cell is unusable.  ``terms`` are the line's
+    ``cell_terms``; returns an ``n x m`` boolean table.
     """
     n, m = line.n, line.m
     if not (math.isfinite(lo) and math.isfinite(hi)):
-        return [[False] * m for _ in range(n)]
+        return np.zeros((n, m), dtype=bool)
     da = np.subtract.outer(line.a1, line.a2)
     db = np.subtract.outer(line.b1, line.b2)
     at_lo, at_hi = da + db * lo, da + db * hi
@@ -452,9 +465,9 @@ def _unusable_cells(line: DataLine, lo: float, hi: float) -> list[list[bool]]:
     least = np.where(at_lo * at_hi <= 0.0, 0.0, np.minimum(at_lo * at_lo, at_hi * at_hi))
     ahead = np.array(accumulated_cost(least.tolist()))
     behind = np.array(accumulated_cost(least[::-1, ::-1].tolist()))[::-1, ::-1]
-    _, loss = _optimal_at(line, 0.5 * lo + 0.5 * hi)
+    _, loss = _optimal_at(line, 0.5 * lo + 0.5 * hi, terms)
     cap = max(loss(lo), loss(hi))
-    return (ahead + behind - least > cap + CELL_BOUND_MARGIN * (1.0 + cap)).tolist()
+    return ahead + behind - least > cap + CELL_BOUND_MARGIN * (1.0 + cap)
 
 
 def z1_region(env: PiecewiseEnvelope, M_obs: AlignmentMatrix) -> IntervalUnion:
@@ -501,7 +514,8 @@ def si_dtw_region(
     if window.is_empty:
         return window
     (bounds,) = window.intervals
-    q_obs = quadratic_loss(M_obs, line)
+    terms = cell_terms(line)
+    q_obs = _path_loss(M_obs.path, terms)
     slack = WITNESS_SLACK * (1.0 + q_obs(t_obs))
     lo, hi = bounds
     reach_lo, reach_hi = t_obs - WITNESS_REACH, t_obs + WITNESS_REACH
@@ -515,7 +529,7 @@ def si_dtw_region(
         t = first + step if side > 0 else last - step
         if not lo < t < hi:
             continue
-        path, q = _optimal_at(line, t)
+        path, q = _optimal_at(line, t, terms)
         if path == M_obs.path:
             continue
         cut = solve_quadratic_leq(q_obs.w2 - q.w2, q_obs.w1 - q.w1, q_obs.w0 - q.w0 - slack)

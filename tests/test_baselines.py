@@ -24,10 +24,16 @@ from dtwsi.dtw_core import (
     sign_vector,
 )
 from dtwsi.dtw_core import test_direction as direction_of
-from dtwsi.inference import nuisance_decomposition, selective_p_value, z2_region
+from dtwsi.inference import (
+    DegenerateDirectionError,
+    nuisance_decomposition,
+    selective_p_value,
+    z2_region,
+)
 from dtwsi.intervals import IntervalUnion, solve_quadratic_leq, solve_quadratic_system
 from dtwsi.parametric import DataLine, quadratic_loss
 from dense_views import abs_alignment_statistic, path_cost
+import oracles
 
 INF = math.inf
 
@@ -199,6 +205,38 @@ class TestQuadraticSystem:
             constraints = si_dtw_oc_constraints(pair, line)
             want = hex_pieces(sequential_solution(constraints))
             assert hex_pieces(si_dtw_oc_region(pair, line)) == want
+
+
+class TestOcConstraintRows:
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_rows_match_per_cell_loop(self, decimals):
+        # same floats, same order: the region's zero ends take their sign
+        # from the first row that has an end there
+        for seed in range(40):
+            rng = np.random.default_rng([34, seed])
+            n, m = (int(v) for v in rng.integers(1, 13, size=2))
+            x, y = rng.normal(size=n), rng.normal(size=m)
+            if decimals is not None:
+                x, y = np.round(x, decimals), np.round(y, decimals)
+            pair = TimeSeriesPair(x, y)
+            try:
+                _, _, line = observed_line(pair)
+            except DegenerateDirectionError:
+                continue
+            rows = si_dtw_oc_constraints(pair, line)
+            want = oracles.si_dtw_oc_constraints(pair, line)
+            assert rows.shape == (len(want), 3)
+            assert [[v.hex() for v in row] for row in rows.tolist()] == [
+                [v.hex() for v in row] for row in want
+            ]
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 6), (6, 1)])
+    def test_single_row_or_column_has_no_rows(self, n, m):
+        rng = np.random.default_rng(35)
+        pair = TimeSeriesPair(rng.normal(size=n), rng.normal(size=m))
+        _, _, line = observed_line(pair)
+        assert si_dtw_oc_constraints(pair, line).shape == (0, 3)
+        assert si_dtw_oc_region(pair, line) == IntervalUnion.real_line()
 
 
 class TestQuadraticConstraint:

@@ -28,6 +28,7 @@ from dtwsi.inference import (
 from dtwsi.intervals import IntervalUnion
 from dtwsi.parametric import DataLine, envelope_bruteforce, para_dtw, z1_region
 from dense_views import omega_matrix, path_vec, scatter_path
+import oracles
 
 INF = math.inf
 
@@ -411,10 +412,31 @@ class TestConfidenceInterval:
         def fail(*args):
             raise AssertionError("tail evaluated")
 
-        monkeypatch.setattr(inference, "_log_region_mass", fail)
+        monkeypatch.setattr(inference, "_log_mass", fail)
         region = IntervalUnion([(1.0, 2.0), (3.0, 4.0)])
         with pytest.raises(ArithmeticError, match=f"{where} end.*same for every mean"):
             truncated_gaussian_ci(z_obs, 1.0, region, 0.05)
+        # the patched helper is the one the tail evaluates
+        with pytest.raises(AssertionError, match="tail evaluated"):
+            truncated_gaussian_ci(1.5, 1.0, region, 0.05)
+
+    def test_each_mean_is_evaluated_once(self, monkeypatch):
+        # Both bounds bracket from z_obs -+ 2, 4, ... sigma, and every tail
+        # takes the region's mass and the mass above z_obs: a tail that is
+        # not memoized, or a mass evaluated twice, repeats a call.
+        calls = []
+        log_mass = inference._log_mass
+
+        def counting(pieces, mean, sigma):
+            calls.append((pieces, mean))
+            return log_mass(pieces, mean, sigma)
+
+        monkeypatch.setattr(inference, "_log_mass", counting)
+        truncated_gaussian_ci(0.5, 1.0, IntervalUnion([(-1.0, 3.0)]), 0.05)
+        means = {mean for _, mean in calls}
+        assert len(calls) == len(set(calls)) == 2 * len(means)
+        assert {-1.5, 2.5} <= means
+        assert len(means) > 40
 
     def test_statistic_at_lower_end_of_region(self):
         # si-dtw gives p = 1 on [14.7, 15.56] with z_obs a roundoff below
@@ -424,6 +446,98 @@ class TestConfidenceInterval:
         assert res.p_selective == 1.0 and res.z_obs <= res.region.intervals[0][0]
         with pytest.raises(ArithmeticError, match="same for every mean"):
             selective_confidence_interval(pair, 0.05, result=res)
+
+
+ORACLE_REGIONS = [
+    [(-1.0, 2.0)],
+    [(0.5, math.inf)],
+    [(-math.inf, -0.25)],
+    [(36.0, 44.0)],
+    [(-3.0, -1.0), (0.5, 2.5)],
+    [(-2.0, 2.0), (38.0, math.inf)],
+    [(-math.inf, -4.0), (-1.0, 1.0), (3.0, 3.5)],
+    [(-41.0, -39.5), (-0.5, 0.5), (39.0, 40.0)],
+]
+
+
+def inner_points(lo, hi):
+    """Points near the left end, in the middle and near the right end of a piece."""
+    lo, hi = (lo, min(hi, lo + 8.0)) if math.isfinite(lo) else (hi - 8.0, hi)
+    return [lo + 0.05 * (hi - lo), 0.5 * lo + 0.5 * hi, hi - 0.05 * (hi - lo)]
+
+
+def oracle_pairs():
+    """sim-batch-like pairs (n=m=10, AR covariance) and 0.1-rounded random pairs."""
+    for k in range(24):
+        config = ExperimentConfig(
+            n=10, m=10, delta=(0.0, 2.0)[k % 2], covariance="ar-correlation", seed=9
+        )
+        yield generate_pair(config, k)
+    rng = np.random.default_rng(41)
+    for _ in range(16):
+        n, m = (int(v) for v in rng.integers(2, 12, size=2))
+        yield TimeSeriesPair(np.round(rng.normal(size=n), 1), np.round(rng.normal(size=m), 1))
+
+
+class TestIntervalOracle:
+    """The tail and the bisection match the one-frame-per-step solve bit for bit."""
+
+    @pytest.mark.parametrize("pieces", ORACLE_REGIONS)
+    @pytest.mark.parametrize("sigma", [1.0, 0.3])
+    def test_region_mass_at_means_around_every_piece(self, pieces, sigma):
+        region = IntervalUnion(pieces)
+        means = [-40.0 * sigma, 40.0 * sigma]
+        for lo, hi in pieces:
+            means += inner_points(lo, hi)
+            means += [v for v in (lo - 3.0 * sigma, hi + 3.0 * sigma) if math.isfinite(v)]
+        for mean in means:
+            got = inference._log_mass(region.intervals, mean, sigma)
+            assert float(got).hex() == float(oracles.log_region_mass(region, mean, sigma)).hex()
+
+    @pytest.mark.parametrize("pieces", ORACLE_REGIONS)
+    @pytest.mark.parametrize("sigma", [1.0, 0.3])
+    def test_bounds_for_statistics_across_every_piece(self, pieces, sigma):
+        region = IntervalUnion(pieces)
+        for lo, hi in pieces:
+            for z_obs in inner_points(lo, hi):
+                for alpha in (0.05, 0.5):
+                    args = (z_obs, sigma, region, alpha)
+                    want = oracles.hex_outcome(oracles.truncated_gaussian_ci, *args)
+                    assert oracles.hex_outcome(truncated_gaussian_ci, *args) == want
+                args = (z_obs, sigma, region)
+                want = oracles.hex_outcome(oracles.truncated_gaussian_sf, *args)
+                assert oracles.hex_outcome(truncated_gaussian_sf, *args) == want
+
+    def test_statistic_within_roundoff_of_an_end(self):
+        outcomes = set()
+        for pieces in ORACLE_REGIONS:
+            region = IntervalUnion(pieces)
+            for end in [v for piece in pieces for v in piece if math.isfinite(v)]:
+                for z_obs in (end - 1e-12, np.nextafter(end, -math.inf), end,
+                              np.nextafter(end, math.inf), end + 1e-12):
+                    args = (float(z_obs), 1.0, region, 0.05)
+                    want = oracles.hex_outcome(oracles.truncated_gaussian_ci, *args)
+                    assert oracles.hex_outcome(truncated_gaussian_ci, *args) == want
+                    failed = isinstance(want, tuple)
+                    outcomes.add(want[1].split(":")[0].split(" within")[0] if failed else "bounds")
+        assert outcomes == {"bounds", "no confidence bound", "confidence bound bracket failed"}
+
+    @pytest.mark.parametrize("test", [selective_p_value, si_dtw_oc_p_value])
+    def test_regions_of_simulated_pairs(self, test):
+        solved = 0
+        for pair in oracle_pairs():
+            try:
+                res = test(pair)
+            except (ArithmeticError, ValueError):
+                continue
+            for alpha in (0.05, 0.2):
+                args = (res.z_obs, res.sigma, res.region, alpha)
+                want = oracles.hex_outcome(oracles.truncated_gaussian_ci, *args)
+                assert oracles.hex_outcome(truncated_gaussian_ci, *args) == want
+                solved += not isinstance(want, tuple)
+            want = oracles.truncated_gaussian_sf(res.z_obs, res.sigma, res.region)
+            assert res.p_selective.hex() == want.hex()
+        assert solved >= 40
 
 
 def rescaled_pair(c, seed=1):

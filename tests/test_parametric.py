@@ -22,6 +22,7 @@ from dtwsi.parametric import (
     z1_region,
 )
 from dense_views import path_cost
+from oracles import walk_envelope as oracle_walk
 
 
 def random_line(rng, n, m, scale=1.0):
@@ -145,6 +146,90 @@ class TestEnvelopeWalk:
         assert [cands[k][0] for k in order] == ["base"] and bps == list(window)
 
 
+def random_candidates(rng, K, decimals):
+    """``K`` loss quadratics ``(label, w0, w1, w2)``; rounding makes ties and shared crossings."""
+    w = np.column_stack([rng.uniform(0, 4, K), rng.normal(0, 2, K), rng.uniform(0, 1, K)])
+    if decimals is not None:
+        w = np.round(w, decimals)
+    w[rng.random(K) < 0.2, 2] = 0.0  # some lines
+    return [(k, *row) for k, row in enumerate(w.tolist())]
+
+
+def walk_windows(rng, cands):
+    """The full line, half lines, a finite window, a point window, and one at a crossing."""
+    lo, hi = np.sort(rng.normal(0, 3, 2)).tolist()
+    bps, _ = oracle_walk(cands)
+    cross = [b for b in bps if math.isfinite(b)]
+    windows = [(-math.inf, math.inf), (lo, math.inf), (-math.inf, hi), (lo, hi), (lo, lo)]
+    return windows + [(cross[0], cross[0] + 1.0)] if cross else windows
+
+
+def hex_walk(walk):
+    bps, order = walk
+    return [float(b).hex() for b in bps], list(order)
+
+
+class TestWalkOracle:
+    """``_walk_envelope`` with its early exits matches the walk that always loops."""
+
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_random_candidate_sets(self, decimals):
+        rng = np.random.default_rng([5, 0 if decimals is None else decimals + 1])
+        single = 0
+        for _ in range(300):
+            cands = random_candidates(rng, int(rng.integers(1, 7)), decimals)
+            for lo, hi in walk_windows(rng, cands):
+                want = hex_walk(oracle_walk(cands, lo, hi))
+                assert hex_walk(_walk_envelope(cands, lo, hi)) == want
+                single += len(want[1]) == 1
+        assert single > 300
+
+    def test_dominated_candidates_give_one_segment(self):
+        cands = [("low", 0.0, 0.0, 1.0), ("high", 5.0, 0.0, 1.0), ("line", 9.0, 0.1, 0.0)]
+        for lo, hi in [(-1.0, 1.0), (0.0, 0.0), (-2.5, 2.5)]:
+            want = oracle_walk(cands, lo, hi)
+            assert _walk_envelope(cands, lo, hi) == want == ([lo, hi], [0])
+
+    def test_single_candidate(self):
+        for lo, hi in [(-math.inf, math.inf), (2.0, 2.0), (-1.0, math.inf), (-math.inf, -1.0)]:
+            assert _walk_envelope([("only", 1.0, -2.0, 0.5)], lo, hi) == ([lo, hi], [0])
+
+    def test_near_tie_at_window_start(self):
+        # within the tie band at lo the walk starts from -inf (see
+        # test_window_start_survives_near_tie_at_lo); with the tie set apart,
+        # from lo
+        base = ("base", 10.202083468695054, -0.6324215080788926, 0.12778976626268523)
+        for extra_w0 in (10.606388293021357, 10.7):
+            cands = [base, ("extra", extra_w0, -0.6976776070323891, 0.13042290232390108)]
+            for window in [(12.389699272956635, 20.159893555691543), (12.39, math.inf)]:
+                want = hex_walk(oracle_walk(cands, *window))
+                assert hex_walk(_walk_envelope(cands, *window)) == want
+
+    @pytest.mark.parametrize("decimals", [None, 1, 0])
+    def test_walks_of_para_dtw(self, monkeypatch, decimals):
+        # every cell walk of the windowed engine on sim-batch-like pairs
+        walks = []
+        walk = parametric._walk_envelope
+
+        def recording(cands, lo=-math.inf, hi=math.inf):
+            walks.append((list(cands), lo, hi))
+            return walk(cands, lo, hi)
+
+        monkeypatch.setattr(parametric, "_walk_envelope", recording)
+        for k in range(12):
+            config = ExperimentConfig(
+                n=10, m=10, covariance="ar-correlation", delta=float(k % 3), seed=3
+            )
+            pair = generate_pair(config, k)
+            if decimals is not None:
+                pair = TimeSeriesPair(np.round(pair.x, decimals), np.round(pair.y, decimals))
+            outcome(selective_p_value, pair)
+        assert len(walks) > 300
+        assert sum(len(cands) == 1 for cands, _, _ in walks) > 50
+        for cands, lo, hi in walks:
+            assert hex_walk(walk(cands, lo, hi)) == hex_walk(oracle_walk(cands, lo, hi))
+
+
 class TestEnvelopeBruteforce:
     def test_single_candidate(self):
         line = DataLine(np.zeros(2), np.ones(2), 1)
@@ -236,11 +321,11 @@ class TestParaDtw:
         rng = np.random.default_rng(7)
         n = m = 4
         line = random_line(rng, n, m)
-        term = cell_terms(line)
+        terms = [t.tolist() for t in cell_terms(line)]
         table = [[None] * m for _ in range(n)]
         for i in range(n):
             for j in range(m):
-                t0, t1, t2 = term(i, j)
+                t0, t1, t2 = (t[i][j] for t in terms)
                 if i == 0 and j == 0:
                     cands = [(((1, 1),), t0, t1, t2)]
                 else:
@@ -470,8 +555,8 @@ def record_solves(monkeypatch):
     solves = []
     solve = parametric._optimal_at
 
-    def recording(line, t):
-        path, q = solve(line, t)
+    def recording(line, t, terms):
+        path, q = solve(line, t, terms)
         solves.append((t, path, q))
         return path, q
 
@@ -504,7 +589,7 @@ class TestWitnessProbes:
         q_obs = quadratic_loss(M, line)
         probes = []
 
-        def cutting(line, t):
+        def cutting(line, t, terms):
             probes.append(t)
             # q_obs - q = side (t - z) + 0.01: the cut removes everything from
             # the probe's end of the window to 0.01 past the probe
