@@ -35,8 +35,10 @@ __all__ = [
 ]
 
 # Most Bellman cells (n * m per replicate) that one batched permutation solve
-# holds; its skewed table takes about 16 bytes per cell, so 16 MB at most.
-# More replicates than fit are solved in chunks.
+# holds.  Its padded, skewed table takes (2n + 1)(n + 1) * 8 bytes per
+# replicate, about 17 bytes per cell at n = 30; with the walk's positions and
+# their decode the solve peaks at about 20 bytes per cell (18 at n = 100), so
+# about 21 MB at most.  More replicates than fit are solved in chunks.
 PERMUTATION_CELL_BUDGET = 2**20
 
 

@@ -279,59 +279,96 @@ def bellman_path(x: np.ndarray, y: np.ndarray) -> tuple[tuple[tuple[int, int], .
 def bellman_abs_sums(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sum of ``|x_i - y_j|`` over the Bellman path of each row of a stack.
 
-    ``xs`` is ``(rows, n)`` and ``ys`` is ``(rows, m)``; row ``r`` gets the
-    path that ``bellman_path(xs[r], ys[r])`` returns, summed in path order, so
-    each result is bit-identical to the scalar solve followed by a ``+=`` loop.
-    An anti-diagonal wavefront fills all tables at once with the same minimum
-    and the same single ``+`` per cell as ``accumulated_cost``; the traceback
-    restates ``bellman_predecessor`` in array form.  For one pair the scalar
-    solve is faster; this pays off on a stack.
+    ``xs`` is ``(rows, n)`` and ``ys`` is ``(rows, m)`` with ``n, m >= 1``
+    and finite values; anything else raises ``ValueError``.  Row ``r`` gets
+    the path that ``bellman_path(xs[r], ys[r])`` returns, summed in path
+    order, so each result is bit-identical to the scalar solve followed by a
+    ``+=`` loop.  For one pair the scalar solve is faster; at n = m = 30
+    this pays off from about 6 rows on.
+
+    Layout: the stacks are copied once into C-contiguous ``(n, rows)`` and
+    ``(m, rows)`` arrays, ``y`` with its time axis reversed, so the cells of
+    one anti-diagonal pair two ascending contiguous slices.  Entry
+    ``table[k + 2, i + 1, r]`` is row ``r``'s Bellman entry of cell
+    ``(i, k - i)``.  The wavefront fills all tables at once with the same
+    minimum and the same single ``+`` per cell as ``accumulated_cost``.
+
+    Padding: two diagonals in front, the column ``i = -1`` and every cell
+    off the grid hold NaN.  ``np.fmin`` skips NaN, so the wavefront needs no
+    edge cases, and in the traceback an off-grid neighbour loses every
+    comparison: at ``i == 0`` the walk steps left, at ``j == 0`` up.  The
+    padding is NaN, not infinity, because a real entry can overflow to
+    infinity and must still win over the grid's edge.
+
+    Traceback: it restates ``bellman_predecessor`` in array form on flat
+    table positions.  A row that has reached ``(0, 0)`` is held there by
+    clamping its position to the origin's (the origin's own reads all fall
+    in the padding); every step from another cell lands at or above that
+    position.  The walk stops once every row rests there.  The positions
+    are decoded to cells once after the walk, and repeats of the origin are
+    dropped from the sum.
     """
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    if xs.ndim != 2 or ys.ndim != 2:
+        raise ValueError(f"xs and ys must be 2-D stacks, got shapes {xs.shape} and {ys.shape}")
+    if xs.shape[0] != ys.shape[0]:
+        raise ValueError(f"xs and ys must have as many rows, got {xs.shape[0]} and {ys.shape[0]}")
     rows, n = xs.shape
     m = ys.shape[1]
+    if n == 0 or m == 0:
+        raise ValueError(f"series must have length >= 1, got n={n} and m={m}")
+    if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
+        raise ValueError("series values must be finite")
     diagonals = n + m - 1
-    xt, yt = xs.T, ys.T
-    # table[k + 1, i + 1, r] is row r's Bellman entry of cell (i, k - i); the
-    # padding and the cells off the grid stay infinite.
-    table = np.full((diagonals + 1, n + 1, rows), np.inf)
-    d = xt[0] - yt[0]
-    table[1, 1] = d * d
+    xt = np.ascontiguousarray(xs.T)
+    yr = np.ascontiguousarray(ys.T[::-1])
+    table = np.full((diagonals + 2, n + 1, rows), np.nan)
+    d = xt[0] - yr[m - 1]
+    table[2, 1] = d * d
+    buf = np.empty((min(n, m), rows))
     for k in range(1, diagonals):
         lo, hi = max(0, k - m + 1), min(n - 1, k)
-        d = xt[lo : hi + 1] - yt[k - hi : k - lo + 1][::-1]
-        cell = table[k + 1, lo + 1 : hi + 2]
-        np.minimum(table[k - 1, lo : hi + 1], table[k, lo : hi + 1], out=cell)
-        np.minimum(cell, table[k, lo + 1 : hi + 2], out=cell)
-        cell += d * d
+        cell = table[k + 2, lo + 1 : hi + 2]
+        np.fmin(table[k, lo : hi + 1], table[k + 1, lo : hi + 1], out=cell)
+        np.fmin(cell, table[k + 1, lo + 1 : hi + 2], out=cell)
+        d = np.subtract(xt[lo : hi + 1], yr[m - 1 - k + lo : m - k + hi], out=buf[: hi + 1 - lo])
+        np.multiply(d, d, out=d)
+        cell += d
 
-    # Walk every row back from (n-1, m-1); a finished row rests at (0, 0).
-    # A step back in i moves (n + 2) * rows places in the flat table, a step
-    # back in j (n + 1) * rows, and a diagonal step both.  Reads outside the
-    # grid (wrapped around, at the origin) are masked by `up` and `left`.
+    # A step back in i moves `up` places in the flat table, a step back in j
+    # `left` places, and a diagonal step both.  The neighbours of position p
+    # are read at a = p - diag from three views, shifted so one index serves.
     flat = table.ravel()
-    up_step, left_step = (n + 2) * rows, (n + 1) * rows
-    step = np.array([[up_step + left_step], [up_step], [left_step]])
-    at = np.arange(rows) + (diagonals * (n + 1) + n) * rows
-    i = np.full(rows, n - 1)
-    j = np.full(rows, m - 1)
-    live = np.ones(rows, dtype=bool)
-    cells_i = np.empty((diagonals, rows), dtype=np.intp)
-    cells_j = np.empty((diagonals, rows), dtype=np.intp)
-    kept = np.empty((diagonals, rows), dtype=bool)
-    for s in range(diagonals):
-        cells_i[s], cells_j[s], kept[s] = i, j, live
-        up, left = i > 0, j > 0
-        live &= up | left
-        diag, vert, horiz = flat[at - step]
-        go_diag = up & left & (diag <= vert) & (diag <= horiz)
-        go_up = go_diag | (up & (~left | (vert <= horiz)))
-        go_left = go_diag | (left & ~go_up)
-        at -= up_step * go_up + left_step * go_left
-        i -= go_up
-        j -= go_left
+    up, left = (n + 2) * rows, (n + 1) * rows
+    diag = up + left
+    up_view, left_view = flat[left:], flat[up:]
+    origin = np.arange(rows) + diag
+    path = np.empty((diagonals, rows), dtype=np.intp)
+    path[0] = origin + ((diagonals - 1) * (n + 1) + n - 1) * rows  # cell (n-1, m-1)
+    for s in range(1, diagonals):
+        at = path[s - 1]
+        a = at - diag
+        vert = up_view[a]
+        best = np.fmin(vert, left_view[a])
+        step = np.where(flat[a] <= best, diag, np.where(vert <= best, up, left))
+        np.maximum(at - step, origin, out=path[s])
+        # no path is shorter than max(n, m) cells; from there, every 4th
+        # step, stop once all rows rest at the origin
+        if s % 4 == 0 and s >= max(n, m) - 1 and (path[s] == origin).all():
+            path = path[: s + 1]
+            break
 
+    # Position p = ((k + 2) * (n + 1) + i + 1) * rows + r is cell (i, k - i)
+    # of row r.  Per table slot p // rows, look up where x_i and y_(k - i)
+    # start in the contiguous copies; row r's values sit r places further.
+    slot = np.arange(table.shape[0] * (n + 1))
+    i_of = slot % (n + 1) - 1
+    x_at = i_of * rows
+    y_at = (m + 1 - slot // (n + 1) + i_of) * rows
+    q = path // rows
     r = np.arange(rows)
-    terms = np.where(kept, np.abs(xt[cells_i, r] - yt[cells_j, r]), 0.0)
+    terms = np.abs(xt.ravel()[x_at[q] + r] - yr.ravel()[y_at[q] + r])
+    terms[1:][path[1:] == path[:-1]] = 0.0  # a finished row's repeats of the origin
     # sequential sum in path order (first cell first), not numpy's pairwise sum
     return np.add.accumulate(terms[::-1], axis=0)[-1]
 

@@ -210,6 +210,14 @@ def path_has_tie(x, y):
     return False
 
 
+def assert_matches_oracle(xs, ys):
+    """Each row of ``bellman_abs_sums`` hex-equal to the scalar oracle."""
+    got = bellman_abs_sums(xs, ys)
+    assert got.shape == (len(xs),)
+    want = [abs_alignment_statistic(x, y).hex() for x, y in zip(xs, ys)]
+    assert [value.hex() for value in got] == want
+
+
 class TestBellmanAbsSums:
     """The batched wavefront against the scalar solve, bit for bit."""
 
@@ -238,6 +246,145 @@ class TestBellmanAbsSums:
         path, _ = bellman_path(x, y)
         assert path[-2:] == ((2, 4), (3, 4))
         assert bellman_abs_sums(x[None], y[None]).tolist() == [9.0]
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_permutation_stack(self, decimals):
+        # the benchmark's shape, stacked the way permutation_test stacks it
+        rng = np.random.default_rng(7)
+        x, y = rng.normal(size=30), rng.normal(size=30)
+        if decimals is not None:
+            x, y = np.round(x, decimals), np.round(y, decimals)
+        swap = rng.random((201, 30)) < 0.5
+        swap[0] = False
+        assert_matches_oracle(np.where(swap, y, x), np.where(swap, x, y))
+
+    @pytest.mark.parametrize("n, m", [(7, 19), (19, 7), (2, 40), (40, 2), (13, 29)])
+    @pytest.mark.parametrize("decimals", [None, 0])
+    def test_rectangular_stacks(self, n, m, decimals):
+        rng = np.random.default_rng([n, m])
+        xs, ys = rng.normal(size=(64, n)), rng.normal(size=(64, m))
+        if decimals is not None:
+            xs, ys = np.round(xs, decimals), np.round(ys, decimals)
+        assert_matches_oracle(xs, ys)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (7, 1), (4, 9), (30, 30)])
+    def test_one_row(self, n, m):
+        rng = np.random.default_rng([n, m, 1])
+        for decimals in (None, 0):
+            x, y = rng.normal(size=(1, n)), rng.normal(size=(1, m))
+            if decimals is not None:
+                x, y = np.round(x), np.round(y)
+            assert_matches_oracle(x, y)
+
+    def test_strided_inputs(self):
+        # the kernel copies its inputs; each layout must give the same sums
+        rng = np.random.default_rng(11)
+        wide_x, wide_y = np.round(rng.normal(size=(40, 18)), 1), np.round(rng.normal(size=(40, 22)), 1)
+        layouts = {
+            "C order": (np.ascontiguousarray(wide_x[:, :9]), np.ascontiguousarray(wide_y[:, :11])),
+            "Fortran order": (np.asfortranarray(wide_x[:, :9]), np.asfortranarray(wide_y[:, :11])),
+            "column slices": (wide_x[:, ::2], wide_y[:, 1::2]),
+            "transposed": (np.ascontiguousarray(wide_x[:, :9].T).T, np.ascontiguousarray(wide_y[:, :11].T).T),
+            "reversed": (wide_x[::-1, 8::-1], wide_y[::-1, 10::-1]),
+        }
+        for name, (xs, ys) in layouts.items():
+            assert xs.shape == (40, 9) and ys.shape == (40, 11), name
+            assert_matches_oracle(xs, ys)
+
+    @pytest.mark.parametrize("n, m", [(6, 6), (9, 5), (5, 9), (30, 30)])
+    def test_finished_rows_stay_at_the_origin(self, n, m):
+        # Constant series give the shortest path (max(n, m) cells, every tie
+        # taken diagonally); the staircase rows give the longest one Bellman
+        # can leave, n + m - 2 cells, because two straight runs never meet at
+        # a corner: the diagonal step across it costs no more and wins ties.
+        rng = np.random.default_rng([n, m, 2])
+        xs, ys, lengths = [], [], []
+        for r in range(24):
+            a = np.round(rng.normal(), 1)
+            b = a + 1.0
+            if r % 3 == 0:
+                x, y = np.full(n, a), np.full(m, a)
+            elif r % 3 == 1:
+                x, y = np.r_[a, np.full(n - 1, b)], np.r_[np.full(m - 1, a), b]
+            else:
+                x, y = rng.normal(size=n), rng.normal(size=m)
+            xs.append(x)
+            ys.append(y)
+            lengths.append(len(bellman_path(x, y)[0]))
+        assert set(lengths[0::3]) == {max(n, m)}
+        assert set(lengths[1::3]) == {n + m - 2}
+        xs, ys = np.array(xs), np.array(ys)
+        assert_matches_oracle(xs, ys)
+        assert_matches_oracle(xs[0::3], ys[0::3])  # all rows done after max(n, m) cells
+
+    @pytest.mark.parametrize("n, m", [(1, 9), (9, 1), (1, 30), (30, 1)])
+    def test_one_series_of_length_one(self, n, m):
+        # the path is a single straight run of n + m - 1 cells along an edge
+        rng = np.random.default_rng([n, m, 3])
+        for decimals in (None, 0):
+            xs, ys = rng.normal(size=(50, n)), rng.normal(size=(50, m))
+            if decimals is not None:
+                xs, ys = np.round(xs), np.round(ys)
+            assert_matches_oracle(xs, ys)
+
+    @pytest.mark.parametrize("n, m", [(4, 9), (9, 4), (6, 5)])
+    def test_overflowing_squares_keep_the_scalar_path(self, n, m):
+        # Squared differences overflow to infinity.  A huge first value makes
+        # every entry infinite, so all neighbours tie and the walk runs along
+        # the first row or column; an infinite entry must still beat the
+        # grid's edge there.
+        rng = np.random.default_rng([n, m, 4])
+        xs, ys = rng.normal(size=(16, n)), rng.normal(size=(16, m))
+        xs[0::4, 0] = 1e200
+        ys[1::4, 0] = -1e200
+        xs[2::4] *= 1e154
+        ys[3::4, -1] = 1e200
+        with np.errstate(over="ignore"):
+            assert_matches_oracle(xs, ys)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(1, 9),
+        st.sampled_from([None, 1, 0]),
+        st.integers(0, 10_000),
+    )
+    def test_property_matches_scalar_oracle(self, n, m, rows, decimals, seed):
+        rng = np.random.default_rng(seed)
+        xs, ys = rng.normal(size=(rows, n)), rng.normal(size=(rows, m))
+        if decimals is not None:
+            xs, ys = np.round(xs, decimals), np.round(ys, decimals)
+        assert_matches_oracle(xs, ys)
+
+    @pytest.mark.parametrize(
+        "xs_shape, ys_shape, message",
+        [
+            ((5, 4), (1, 4), "as many rows"),
+            ((1, 4), (5, 4), "as many rows"),
+            ((4,), (4,), "2-D"),
+            ((3, 4), (4,), "2-D"),
+            ((2, 3, 4), (2, 3, 4), "2-D"),
+            ((3, 0), (3, 4), "length"),
+            ((3, 4), (3, 0), "length"),
+        ],
+    )
+    def test_rejects_bad_shapes(self, xs_shape, ys_shape, message):
+        with pytest.raises(ValueError, match=message):
+            bellman_abs_sums(np.zeros(xs_shape), np.zeros(ys_shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_values(self, bad):
+        xs, ys = np.zeros((3, 4)), np.zeros((3, 5))
+        xs[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            bellman_abs_sums(xs, ys)
+        with pytest.raises(ValueError, match="finite"):
+            bellman_abs_sums(ys, xs)
+
+    def test_no_rows_give_an_empty_result(self):
+        got = bellman_abs_sums(np.zeros((0, 4)), np.zeros((0, 3)))
+        assert got.shape == (0,) and got.dtype == float
 
 
 class TestOmega:
