@@ -21,6 +21,7 @@ __all__ = [
     "bellman_abs_sums",
     "bellman_path",
     "bellman_predecessor",
+    "bellman_wavefront",
     "cost_matrix",
     "delannoy",
     "enumerate_alignments",
@@ -216,9 +217,10 @@ def accumulated_cost(cost: list[list[float]]) -> list[list[float]]:
 
     Entry ``(i, j)`` is the least summed cost of a warping path from cell
     ``(0, 0)`` to cell ``(i, j)``, both ends included.  The scalar Bellman
-    recursion, for single solves: ``bellman_path``, the over-conditioned
-    constraints and the envelope's cell bound run it.  ``bellman_abs_sums``
-    runs the same recursion batched over a stack of pairs.
+    recursion, for single solves: ``bellman_path`` and the over-conditioned
+    constraints run it.  ``bellman_wavefront`` runs the same recursion on a
+    stack of cost matrices at once, for ``bellman_abs_sums`` and the
+    envelope's cell bound.
     """
     n, m = len(cost), len(cost[0])
     table = [[0.0] * m for _ in range(n)]
@@ -276,6 +278,36 @@ def bellman_path(x: np.ndarray, y: np.ndarray) -> tuple[tuple[tuple[int, int], .
     return tuple(path), cost
 
 
+def bellman_wavefront(cost, n: int, m: int, rows: int) -> np.ndarray:
+    """Bellman tables of a stack of ``rows`` cost matrices, ``n x m`` each, in one wavefront.
+
+    ``cost(k, lo, hi)`` returns the costs of the cells ``(i, k - i)``,
+    ``i = lo..hi``, of anti-diagonal ``k`` as a ``(hi + 1 - lo, rows)``
+    array, column ``r`` for matrix ``r``.  The wavefront visits the
+    diagonals in order and gives every cell the same minimum and the same
+    single ``+`` as ``accumulated_cost``, so for costs that are neither NaN
+    nor ``-0.0`` (squares and zeros qualify) each matrix's table is
+    bit-identical to the scalar one.  ``bellman_abs_sums`` and the
+    envelope's cell bound fill their tables here.
+
+    Layout: entry ``table[k + 2, i + 1, r]`` is matrix ``r``'s Bellman entry
+    of cell ``(i, k - i)``, so the cells of one anti-diagonal are one slice.
+    Two diagonals in front, the column ``i = -1`` and every cell off the
+    grid hold NaN.  ``np.fmin`` skips NaN, so the wavefront needs no edge
+    cases.  The padding is NaN, not infinity, because a real entry can
+    overflow to infinity and must still win over the grid's edge.
+    """
+    table = np.full((n + m + 1, n + 1, rows), np.nan)
+    table[2, 1] = cost(0, 0, 0)[0]
+    for k in range(1, n + m - 1):
+        lo, hi = max(0, k - m + 1), min(n - 1, k)
+        cell = table[k + 2, lo + 1 : hi + 2]
+        np.fmin(table[k, lo : hi + 1], table[k + 1, lo : hi + 1], out=cell)
+        np.fmin(cell, table[k + 1, lo + 1 : hi + 2], out=cell)
+        cell += cost(k, lo, hi)
+    return table
+
+
 def bellman_abs_sums(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Sum of ``|x_i - y_j|`` over the Bellman path of each row of a stack.
 
@@ -286,19 +318,13 @@ def bellman_abs_sums(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ``+=`` loop.  For one pair the scalar solve is faster; at n = m = 30
     this pays off from about 6 rows on.
 
-    Layout: the stacks are copied once into C-contiguous ``(n, rows)`` and
+    The tables come from ``bellman_wavefront`` on the squared differences.
+    The stacks are copied once into C-contiguous ``(n, rows)`` and
     ``(m, rows)`` arrays, ``y`` with its time axis reversed, so the cells of
-    one anti-diagonal pair two ascending contiguous slices.  Entry
-    ``table[k + 2, i + 1, r]`` is row ``r``'s Bellman entry of cell
-    ``(i, k - i)``.  The wavefront fills all tables at once with the same
-    minimum and the same single ``+`` per cell as ``accumulated_cost``.
-
-    Padding: two diagonals in front, the column ``i = -1`` and every cell
-    off the grid hold NaN.  ``np.fmin`` skips NaN, so the wavefront needs no
-    edge cases, and in the traceback an off-grid neighbour loses every
-    comparison: at ``i == 0`` the walk steps left, at ``j == 0`` up.  The
-    padding is NaN, not infinity, because a real entry can overflow to
-    infinity and must still win over the grid's edge.
+    one anti-diagonal pair two ascending contiguous slices, and each
+    diagonal's squares go into one reused buffer.  In the traceback an
+    off-grid neighbour, NaN in the table, loses every comparison: at
+    ``i == 0`` the walk steps left, at ``j == 0`` up.
 
     Traceback: it restates ``bellman_predecessor`` in array form on flat
     table positions.  A row that has reached ``(0, 0)`` is held there by
@@ -322,18 +348,13 @@ def bellman_abs_sums(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     diagonals = n + m - 1
     xt = np.ascontiguousarray(xs.T)
     yr = np.ascontiguousarray(ys.T[::-1])
-    table = np.full((diagonals + 2, n + 1, rows), np.nan)
-    d = xt[0] - yr[m - 1]
-    table[2, 1] = d * d
     buf = np.empty((min(n, m), rows))
-    for k in range(1, diagonals):
-        lo, hi = max(0, k - m + 1), min(n - 1, k)
-        cell = table[k + 2, lo + 1 : hi + 2]
-        np.fmin(table[k, lo : hi + 1], table[k + 1, lo : hi + 1], out=cell)
-        np.fmin(cell, table[k + 1, lo + 1 : hi + 2], out=cell)
+
+    def squares(k, lo, hi):
         d = np.subtract(xt[lo : hi + 1], yr[m - 1 - k + lo : m - k + hi], out=buf[: hi + 1 - lo])
-        np.multiply(d, d, out=d)
-        cell += d
+        return np.multiply(d, d, out=d)
+
+    table = bellman_wavefront(squares, n, m, rows)
 
     # A step back in i moves `up` places in the flat table, a step back in j
     # `left` places, and a diagonal step both.  The neighbours of position p

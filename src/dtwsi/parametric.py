@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
-from .dtw_core import AlignmentMatrix, accumulated_cost, bellman_path
+from .dtw_core import AlignmentMatrix, bellman_path, bellman_wavefront
 from .intervals import IntervalUnion, solve_quadratic_leq
 
 __all__ = [
@@ -41,7 +42,8 @@ TANGENCY_TOL = 1e-12
 # Values, slopes or curvatures within this relative band count as tied.
 TIE_BAND = 1e-9
 # A cell is skipped on a finite window only when its loss bound exceeds the
-# cap by more than this, relative to ``1 + cap`` (losses are in sigma^2).
+# cap by more than this on every sub-window, relative to ``1 + cap`` (losses
+# are in sigma^2).
 CELL_BOUND_MARGIN = 1e-9
 # Witness cuts keep where the observed loss exceeds a witness's by at most
 # this, relative to ``1 + q_obs(t_obs)`` (losses are in sigma^2), so roundoff
@@ -52,6 +54,9 @@ WITNESS_SLACK = 1e-6
 # units), inside an end of the hull.  They move speed, not results.
 WITNESS_GRID = 24
 WITNESS_REACH = 20.0
+# The cell bound caps the optimal loss on this many equal sub-windows of a
+# finite window and keeps a cell usable on any of them.  Speed only.
+SUB_WINDOWS = 8
 
 
 @dataclass(frozen=True)
@@ -399,11 +404,13 @@ def para_dtw(
     optimal, for that same ``z``, at every cell it passes through.
 
     On a finite window, cells that no such path can pass through are skipped
-    first (see ``_unusable_cells``).  Every path that is optimal somewhere in
-    the window avoids them, so the envelope keeps the same losses over the
-    window; only which of two paths with identical losses it carries may
-    change.  On an infinite window nothing is skipped, so the full-line
-    envelope, the oracle, is built over every cell.
+    first (see ``_unusable_cells``); the loss of the path optimal at the
+    window's midpoint is the one known loss that caps the optimum.  Every
+    path that is optimal somewhere in the window avoids the skipped cells,
+    so the envelope keeps the same losses over the window; only which of two
+    paths with identical losses it carries may change.  On an infinite
+    window nothing is skipped, so the full-line envelope, the oracle, is
+    built over every cell.
     """
     if line.n != n or line.m != m:
         raise ValueError("line split does not match requested dimensions")
@@ -411,7 +418,19 @@ def para_dtw(
     if not lo <= hi:
         raise ValueError(f"window ({lo}, {hi}) is empty")
     terms = cell_terms(line)
-    usable = ~_unusable_cells(line, lo, hi, terms)
+    finite = math.isfinite(lo) and math.isfinite(hi)
+    known = [_optimal_at(line, 0.5 * lo + 0.5 * hi, terms)[1]] if finite else []
+    return _table_envelope(line, lo, hi, terms, known)
+
+
+def _table_envelope(line: DataLine, lo: float, hi: float, terms, known) -> PiecewiseEnvelope:
+    """``para_dtw``'s table on ``[lo, hi]``, skipping the cells ``known`` losses rule out.
+
+    ``terms`` are the line's ``cell_terms``; ``known`` holds loss quadratics
+    of paths, each an upper bound on the envelope (see ``_unusable_cells``).
+    """
+    n, m = line.n, line.m
+    usable = ~_unusable_cells(line, lo, hi, known)
     # the usable cells in row-major order, each with its three terms
     cells = zip(np.argwhere(usable).tolist(), zip(*(t[usable].tolist() for t in terms)))
     # skipped cells, and cells left without candidates, keep none
@@ -440,34 +459,87 @@ def para_dtw(
     return _envelope(bps, order, cands, n, m)
 
 
-def _unusable_cells(line: DataLine, lo: float, hi: float, terms) -> np.ndarray:
+def _unusable_cells(line: DataLine, lo: float, hi: float, known) -> np.ndarray:
     """Cells that no path optimal somewhere in ``[lo, hi]`` passes through.
 
-    Cell ``(i, j)`` costs ``(da + db z)^2``, whose least value ``L`` over the
-    window is closed-form.  Forward and backward Bellman tables ``F`` and
-    ``B`` of those least values make ``F + B - L`` a lower bound, at every
-    ``z`` in the window, on the loss of any path through the cell.  The path
-    optimal at the window's midpoint has a convex loss, so its largest value
-    on the window, ``cap``, is at an end, and the optimal loss is at most
-    ``cap`` throughout.  A cell whose bound exceeds ``cap`` (beyond
-    ``CELL_BOUND_MARGIN``, for roundoff) therefore carries no path that is
-    optimal anywhere in the window.  On an infinite window ``cap`` is
-    infinite and no cell is unusable.  ``terms`` are the line's
-    ``cell_terms``; returns an ``n x m`` boolean table.
+    The window is split into ``SUB_WINDOWS`` equal sub-windows ``[a_s, b_s]``.
+    Cell ``(i, j)`` costs ``(da + db z)^2``, whose least value ``L_s`` over a
+    sub-window is closed-form.  Forward and backward Bellman tables ``F_s``
+    and ``B_s`` of those least values make ``F_s + B_s - L_s`` a lower bound,
+    at every ``z`` in the sub-window, on the loss of any path through the
+    cell.  Every loss in ``known`` is a path's, so it bounds the optimal loss
+    from above; it is convex, so on the sub-window it is at most its larger
+    end value, and ``cap_s``, the least of those over ``known``, caps the
+    optimal loss there.  A cell whose bound exceeds ``cap_s`` (beyond
+    ``CELL_BOUND_MARGIN``, for roundoff) on every sub-window therefore
+    carries no path that is optimal anywhere in the window.  A NaN bound
+    or cap rules nothing out.  On an infinite window no cell is unusable.
+    ``known`` must not be empty on a finite one.  Returns an ``n x m``
+    boolean table.
+
+    All ``2 * SUB_WINDOWS`` tables come from one ``bellman_wavefront``: the
+    forward ones on the least costs, the backward ones on the same costs
+    with both axes reversed.  The wavefront reads the costs one
+    anti-diagonal at a time as a strided slice, and the bound reads the
+    tables back per cell through a strided view, so nothing is gathered.
     """
     n, m = line.n, line.m
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return np.zeros((n, m), dtype=bool)
+    # squares may overflow to inf and bounds become inf - inf: NaN rules nothing out
+    with np.errstate(over="ignore", invalid="ignore"):
+        # convex combinations stay finite on any finite window; 0 and 1 give lo and hi
+        t = np.arange(SUB_WINDOWS + 1) / SUB_WINDOWS
+        edges = np.clip(lo * (1.0 - t) + hi * t, lo, hi)
+        w0, w1, w2 = np.array([q.coefficients() for q in known]).T[:, :, None]
+        ends = (w2 * edges + w1) * edges + w0
+        cap = np.maximum(ends[:, :-1], ends[:, 1:]).min(axis=0)
+        least = _least_costs(line, edges)
+        # the wavefront's costs: per cell, the forward rows, then the reversed grid's
+        costs = np.empty((n, m, 2 * SUB_WINDOWS))
+        costs[:, :, :SUB_WINDOWS] = least.transpose(1, 2, 0)
+        costs[:, :, SUB_WINDOWS:] = least[:, ::-1, ::-1].transpose(1, 2, 0)
+        # cell (i, k - i) is flat cell k + i (m - 1): an anti-diagonal is one slice
+        flat, step = costs.reshape(n * m, 2 * SUB_WINDOWS), max(m - 1, 1)
+        table = bellman_wavefront(
+            lambda k, first, last: flat[k + first * (m - 1) : k + last * (m - 1) + 1 : step],
+            n, m, 2 * SUB_WINDOWS,
+        )[2:, 1:]
+        ahead = _unskewed(table[:, :, :SUB_WINDOWS], m)
+        behind = _unskewed(table[:, :, SUB_WINDOWS:], m)[::-1, ::-1]
+        bound = np.empty_like(least)
+        np.add(ahead, behind, out=bound.transpose(1, 2, 0))
+        bound -= least
+        return (bound > (cap + CELL_BOUND_MARGIN * (1.0 + cap))[:, None, None]).all(axis=0)
+
+
+def _least_costs(line: DataLine, edges: np.ndarray) -> np.ndarray:
+    """Each cell's least cost on each sub-window, as a ``SUB_WINDOWS x n x m`` array.
+
+    Entry ``[s, i, j]`` is the least of ``(da + db z)^2`` over ``z`` between
+    ``edges[s]`` and ``edges[s + 1]`` for cell ``(i, j)``: zero where
+    ``da + db z`` changes sign, else the square at the end nearer zero.
+    Never NaN, so the wavefront's tables are the scalar ones.
+    """
     da = np.subtract.outer(line.a1, line.a2)
     db = np.subtract.outer(line.b1, line.b2)
-    at_lo, at_hi = da + db * lo, da + db * hi
-    # zero where da + db z changes sign inside the window, else the end value nearer zero
-    least = np.where(at_lo * at_hi <= 0.0, 0.0, np.minimum(at_lo * at_lo, at_hi * at_hi))
-    ahead = np.array(accumulated_cost(least.tolist()))
-    behind = np.array(accumulated_cost(least[::-1, ::-1].tolist()))[::-1, ::-1]
-    _, loss = _optimal_at(line, 0.5 * lo + 0.5 * hi, terms)
-    cap = max(loss(lo), loss(hi))
-    return ahead + behind - least > cap + CELL_BOUND_MARGIN * (1.0 + cap)
+    at = da + db * edges[:, None, None]
+    square = at * at
+    least = np.minimum(square[:-1], square[1:])
+    least[~(at[:-1] * at[1:] > 0.0)] = 0.0  # a NaN product rules nothing out either
+    return least
+
+
+def _unskewed(table: np.ndarray, m: int) -> np.ndarray:
+    """The ``n x m x r`` view of a table laid out as ``bellman_wavefront``'s: ``[i, j]`` is ``[i + j, i]``.
+
+    ``table`` is the wavefront's table from diagonal 0 and column 0 on, so
+    ``i + j`` stays below its ``n + m - 1`` diagonals and the view reads no
+    memory outside it.
+    """
+    step, across, depth = table.strides
+    n, r = table.shape[1:]
+    return as_strided(table, (n, m, r), (step + across, step, depth), writeable=False)
 
 
 def z1_region(env: PiecewiseEnvelope, M_obs: AlignmentMatrix) -> IntervalUnion:
@@ -503,13 +575,16 @@ def si_dtw_region(
     on both sides of the probe): the end did not move past the probe.
     Otherwise the end probes again one step inside its new position.  At most
     ``WITNESS_GRID`` probes run in all.  The envelope is built on the final
-    hull; ``para_dtw`` then skips the cells no path optimal in that hull can
-    use.  Every filter keeps a superset of the region, so the probes move
-    speed only.
+    hull, as ``para_dtw`` builds it, skipping the cells no path optimal in
+    that hull can use.  The losses that cap the optimum there are ``q_obs``
+    and every witness's, so the cell bound runs no Bellman solve of its own.
+    Every filter keeps a superset of the region, so the probes move speed
+    only.
 
     A segment whose loss equals ``M_obs``'s within the tie band counts as
     ``M_obs``'s: ``M_obs`` is optimal there too.  Which of two paths with
-    identical losses the envelope carries depends on the window it is built on.
+    identical losses the envelope carries depends on the window it is built
+    on and on the losses that cap it.
     """
     if window.is_empty:
         return window
@@ -518,6 +593,7 @@ def si_dtw_region(
     q_obs = _path_loss(M_obs.path, terms)
     slack = WITNESS_SLACK * (1.0 + q_obs(t_obs))
     lo, hi = bounds
+    known = [q_obs]
     reach_lo, reach_hi = t_obs - WITNESS_REACH, t_obs + WITNESS_REACH
     sides = [1.0, -1.0]  # +1 probes up from the lower end, -1 down from the upper
     for _ in range(WITNESS_GRID):
@@ -532,6 +608,7 @@ def si_dtw_region(
         path, q = _optimal_at(line, t, terms)
         if path == M_obs.path:
             continue
+        known.append(q)
         cut = solve_quadratic_leq(q_obs.w2 - q.w2, q_obs.w1 - q.w1, q_obs.w0 - q.w0 - slack)
         kept = IntervalUnion([(lo, hi)]).intersect(cut)
         if kept.is_empty:
@@ -541,7 +618,7 @@ def si_dtw_region(
         # there could repeat the probe forever
         if not lo <= t <= hi:
             sides.append(side)
-    env = para_dtw(line, line.n, line.m, (lo, hi))
+    env = _table_envelope(line, lo, hi, terms, known)
     bps = env.breakpoints
     return IntervalUnion(
         (bps[k], bps[k + 1]) for k, (_, q) in enumerate(env.segments) if _same_loss(q, q_obs)

@@ -10,6 +10,7 @@ from dtwsi.dtw_core import (
     accumulated_cost,
     bellman_abs_sums,
     bellman_path,
+    bellman_wavefront,
     cost_matrix,
     delannoy,
     dtw,
@@ -385,6 +386,71 @@ class TestBellmanAbsSums:
     def test_no_rows_give_an_empty_result(self):
         got = bellman_abs_sums(np.zeros((0, 4)), np.zeros((0, 3)))
         assert got.shape == (0,) and got.dtype == float
+
+
+def wavefront_tables(costs):
+    """``bellman_wavefront`` on an ``(n, m, rows)`` stack of costs, as per-row nested lists of hex."""
+    n, m, rows = costs.shape
+
+    def diagonal(k, lo, hi):
+        i = np.arange(lo, hi + 1)
+        return costs[i, k - i]
+
+    table = bellman_wavefront(diagonal, n, m, rows)
+    i, j = np.indices((n, m))
+    cells = table[i + j + 2, i + 1]  # (n, m, rows)
+    return [[[v.hex() for v in row] for row in cells[:, :, r].tolist()] for r in range(rows)]
+
+
+def scalar_tables(costs):
+    """``accumulated_cost`` of each row of an ``(n, m, rows)`` stack of costs, as hex."""
+    return [
+        [[v.hex() for v in row] for row in accumulated_cost(costs[:, :, r].tolist())]
+        for r in range(costs.shape[2])
+    ]
+
+
+def square_costs(rng, n, m, rows, decimals=None, scale=1.0):
+    """Squared differences of random series: ``(n, m, rows)``, with ties and zeros when rounded."""
+    x, y = rng.normal(size=(2, rows, max(n, m)))
+    if decimals is not None:
+        x, y = np.round(x, decimals), np.round(y, decimals)
+    d = scale * (x[:, :n, None] - y[:, None, :m])
+    with np.errstate(over="ignore"):
+        return np.moveaxis(d * d, 0, -1)
+
+
+class TestBellmanWavefront:
+    """The shared stacked fill against the scalar recursion, table entry by table entry."""
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (7, 1), (2, 9), (9, 2), (12, 12)])
+    def test_edges_of_the_grid(self, n, m):
+        costs = square_costs(np.random.default_rng([n, m]), n, m, 5)
+        assert wavefront_tables(costs) == scalar_tables(costs)
+
+    def test_costs_near_overflow(self):
+        # single squares near the largest float, sums that overflow to inf
+        costs = square_costs(np.random.default_rng(3), 6, 5, 16, scale=1e154)
+        with np.errstate(over="ignore"):
+            costs[:, :, ::3] *= 1e10  # whole rows of infinite squares
+            assert wavefront_tables(costs) == scalar_tables(costs)
+        assert np.isinf(costs).any() and not np.isinf(costs).all()
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.integers(1, 16),
+        st.sampled_from([None, 1, 0]),
+        st.sampled_from([1.0, 1e150, 1e154]),
+        st.integers(0, 10_000),
+    )
+    def test_property_matches_accumulated_cost(self, n, m, rows, decimals, scale, seed):
+        costs = square_costs(np.random.default_rng(seed), n, m, rows, decimals, scale)
+        if seed % 2:  # zeroed runs, as least costs have where a cell's cost can vanish
+            costs[np.random.default_rng(seed).random(costs.shape) < 0.3] = 0.0
+        with np.errstate(over="ignore"):
+            assert wavefront_tables(costs) == scalar_tables(costs)
 
 
 class TestOmega:

@@ -1,6 +1,7 @@
 """Tests for losses and envelopes along the data line."""
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -216,7 +217,7 @@ class TestWalkOracle:
             return walk(cands, lo, hi)
 
         monkeypatch.setattr(parametric, "_walk_envelope", recording)
-        for k in range(12):
+        for k in range(16):
             config = ExperimentConfig(
                 n=10, m=10, covariance="ar-correlation", delta=float(k % 3), seed=3
             )
@@ -493,6 +494,120 @@ class TestCellBound:
         assert skipped >= 120
 
 
+def paths_optimal_in(full, lo, hi):
+    """The paths of the full-line envelope's segments that meet ``[lo, hi]``."""
+    bps = full.breakpoints
+    return [M for k, (M, _) in enumerate(full.segments) if bps[k] <= hi and bps[k + 1] >= lo]
+
+
+def bound_cases(count):
+    """``(line, lo, hi, known)``: random lines, raw and rounded, narrow to wide windows.
+
+    ``known`` holds the loss of the path optimal at the window's midpoint and
+    of paths optimal at up to three probes in and around the window, as the
+    witness probes find them.
+    """
+    for seed in range(count):
+        rng = np.random.default_rng([21, seed])
+        n, m = (int(v) for v in rng.integers(1, 10, size=2))
+        line = random_line(rng, n, m)
+        if seed % 3:
+            line = DataLine(np.round(line.a, seed % 3 - 1), np.round(line.b, seed % 3 - 1), n)
+        width = (0.0, 1e-12, 1e-3, 0.1, 1.0, 5.0)[seed % 6]
+        lo = float(rng.uniform(-3.0, 3.0))
+        hi = lo + width
+        terms = cell_terms(line)
+        probes = [0.5 * lo + 0.5 * hi, *rng.uniform(lo - 1.0, hi + 1.0, seed % 4)]
+        known = [parametric._optimal_at(line, float(t), terms)[1] for t in probes]
+        yield line, lo, hi, known
+
+
+def assert_same_regions(windowed, full, lo, hi):
+    """Every path of either envelope holds the same solid pieces of ``[lo, hi]`` in both."""
+    window = IntervalUnion([(lo, hi)])
+    for M in {M.path: M for M, _ in full.segments + windowed.segments}.values():
+        got = z1_region(windowed, M).intersect(window)
+        want = z1_region(full, M).intersect(window)
+        assert_same_pieces(solid_pieces(got), solid_pieces(want))
+
+
+def single_window_mask(line, lo, hi, known):
+    """The cell bound with one sub-window, the whole window, and the same known losses."""
+    with patch.object(parametric, "SUB_WINDOWS", 1):
+        return parametric._unusable_cells(line, lo, hi, known)
+
+
+class TestSubWindowBound:
+    def test_keeps_every_path_optimal_in_the_window(self):
+        skipped = 0
+        for line, lo, hi, known in bound_cases(400):
+            unusable = parametric._unusable_cells(line, lo, hi, known)
+            skipped += int(unusable.sum())
+            for M in paths_optimal_in(para_dtw(line, line.n, line.m), lo, hi):
+                cells = np.array(M.path) - 1
+                assert not unusable[cells[:, 0], cells[:, 1]].any(), (lo, hi, M.path)
+        assert skipped > 2000  # the bound acts, so keeping the paths means something
+
+    def test_subset_of_the_single_window_mask(self):
+        sharper = 0
+        for line, lo, hi, known in bound_cases(400):
+            unusable = parametric._unusable_cells(line, lo, hi, known)
+            single = single_window_mask(line, lo, hi, known)
+            assert (unusable >= single).all()
+            sharper += int((unusable > single).sum())
+        assert sharper > 500
+
+    def test_cells_walked_per_pair(self, monkeypatch):
+        # single-pair benchmark pairs: the sub-windows and the witness losses
+        # leave about half the cells the single-window midpoint bound left
+        walked = count_walks(monkeypatch)
+        pairs = 64
+        for k in range(pairs):
+            pair = generate_pair(ExperimentConfig(n=20, m=20, delta=(0.0, 1.5)[k % 2], seed=0), k)
+            outcome(selective_p_value, pair)
+        assert len(walked) <= 55 * pairs
+
+    def test_overflowing_window_matches_full_line(self):
+        for seed in range(30):
+            rng = np.random.default_rng([22, seed])
+            n, m = (int(v) for v in rng.integers(1, 8, size=2))
+            line = random_line(rng, n, m)
+            full = para_dtw(line, n, m)
+            windowed = para_dtw(line, n, m, (-1e308, 1e308))
+            assert (windowed.breakpoints[0], windowed.breakpoints[-1]) == (-1e308, 1e308)
+            for z in sample_grid(full, 50):
+                assert windowed.value(z) == pytest.approx(full.value(z), rel=1e-9, abs=1e-12)
+            assert_same_regions(windowed, full, -1e308, 1e308)
+
+    def test_overflowing_window_still_skips_cells(self, monkeypatch):
+        # On a line with no direction every loss is constant, so the cap is
+        # finite even on (-1e308, 1e308).  Sub-window edges that overflowed
+        # there would be NaN, and the bound would then rule nothing out.
+        walked = count_walks(monkeypatch)
+        rng = np.random.default_rng(23)
+        line = DataLine(rng.normal(size=24), np.zeros(24), 12)
+        env = para_dtw(line, 12, 12, (-1e308, 1e308))
+        assert len(walked) < 12 * 12 // 2
+        want = para_dtw(line, 12, 12).segments[0][1]
+        assert len(env.segments) == 1
+        assert env.segments[0][1].coefficients() == pytest.approx(want.coefficients(), rel=1e-12)
+
+    def test_point_and_tiny_windows_match_full_line(self):
+        for seed in range(60):
+            rng = np.random.default_rng([24, seed])
+            n, m = (int(v) for v in rng.integers(1, 9, size=2))
+            line = random_line(rng, n, m)
+            full = para_dtw(line, n, m)
+            finite = [b for b in full.breakpoints if math.isfinite(b)]
+            starts = [float(rng.uniform(-3.0, 3.0)), 1e3] + finite[:1]
+            for lo in starts:
+                for hi in (lo, lo + 1e-12):
+                    windowed = para_dtw(line, n, m, (lo, hi))
+                    for z in (lo, 0.5 * lo + 0.5 * hi, hi):
+                        assert windowed.value(z) == pytest.approx(full.value(z), rel=1e-9, abs=1e-12)
+                    assert_same_regions(windowed, full, lo, hi)
+
+
 def window_only_region(line, M_obs, window, t_obs):
     """Selection region from the envelope built on the whole window, no witnesses."""
     if window.is_empty:
@@ -566,7 +681,8 @@ def record_solves(monkeypatch):
 
 class TestWitnessProbes:
     @pytest.mark.parametrize("decimals", [None, 0])
-    def test_at_most_grid_solves_and_the_cell_bound(self, monkeypatch, decimals):
+    def test_at_most_grid_solves(self, monkeypatch, decimals):
+        # the probes are the only Bellman solves: the cell bound runs none
         solves = record_solves(monkeypatch)
         most = 0
         for seed in range(40):
@@ -577,7 +693,7 @@ class TestWitnessProbes:
                 x, y = np.round(x, decimals), np.round(y, decimals)
             solves.clear()
             outcome(selective_p_value, TimeSeriesPair(x, y))
-            assert len(solves) <= parametric.WITNESS_GRID + 1
+            assert len(solves) <= parametric.WITNESS_GRID
             most = max(most, len(solves))
         assert most >= 4
 
@@ -597,11 +713,11 @@ class TestWitnessProbes:
             q = QuadraticLoss(q_obs.w0 - side * t - 0.01, q_obs.w1 + side, q_obs.w2)
             return ((0, 0),), q
 
-        def hull_only(line, n, m, hull):
-            return PiecewiseEnvelope(hull, ((M, q_obs),))
+        def hull_only(line, lo, hi, terms, known):
+            return PiecewiseEnvelope((lo, hi), ((M, q_obs),))
 
         monkeypatch.setattr(parametric, "_optimal_at", cutting)
-        monkeypatch.setattr(parametric, "para_dtw", hull_only)
+        monkeypatch.setattr(parametric, "_table_envelope", hull_only)
         window = IntervalUnion([(t_obs - 5.0, t_obs + 5.0)])
         region = parametric.si_dtw_region(line, M, window, t_obs)
         assert len(probes) == parametric.WITNESS_GRID
@@ -622,10 +738,9 @@ class TestWitnessProbes:
         slack = parametric.WITNESS_SLACK * (1.0 + q_obs(t_obs))
         solves = record_solves(monkeypatch)
         parametric.si_dtw_region(line, M, window, t_obs)
-        witnesses = solves[:-1]  # the last solve is the cell bound's
-        kept = [t for t, path, q in witnesses if path != M.path and q_obs(t) - q(t) <= slack]
+        kept = [t for t, path, q in solves if path != M.path and q_obs(t) - q(t) <= slack]
         assert kept
-        assert len(witnesses) <= 6
+        assert len(solves) <= 6
 
 
 class TestZ1Region:
