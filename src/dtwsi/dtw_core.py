@@ -291,13 +291,18 @@ def bellman_wavefront(cost, n: int, m: int, rows: int) -> np.ndarray:
     envelope's cell bound fill their tables here.
 
     Layout: entry ``table[k + 2, i + 1, r]`` is matrix ``r``'s Bellman entry
-    of cell ``(i, k - i)``, so the cells of one anti-diagonal are one slice.
-    Two diagonals in front, the column ``i = -1`` and every cell off the
-    grid hold NaN.  ``np.fmin`` skips NaN, so the wavefront needs no edge
+    of cell ``(i, k - i)``, so the cells of one anti-diagonal are one slice;
+    two diagonals go in front.  Off the grid, the fill and a traceback read
+    only the column ``i = -1`` and the cells with ``j = -1``, those of the
+    front diagonals among them: these hold NaN, and the rest of the padding
+    is left unset.  ``np.fmin`` skips NaN, so the wavefront needs no edge
     cases.  The padding is NaN, not infinity, because a real entry can
     overflow to infinity and must still win over the grid's edge.
     """
-    table = np.full((n + m + 1, n + 1, rows), np.nan)
+    table = np.empty((n + m + 1, n + 1, rows))
+    table[:, 0] = np.nan
+    edge = np.arange(n + 1)
+    table[edge, edge] = np.nan  # cell (d + 1, -1) of diagonal d sits at [d + 2, d + 2]
     table[2, 1] = cost(0, 0, 0)[0]
     for k in range(1, n + m - 1):
         lo, hi = max(0, k - m + 1), min(n - 1, k)

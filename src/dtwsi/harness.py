@@ -14,9 +14,9 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 
 import numpy as np
-from scipy.stats import skewnorm
 
 from .baselines import data_splitting_test, permutation_test, si_dtw_oc_p_value
 from .dtw_core import TimeSeriesPair, sign_vector, test_direction
@@ -120,11 +120,21 @@ class ExperimentReport:
     results: dict[str, MethodResult] = field(default_factory=dict)
 
 
-def _covariance(kind: str, size: int) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _covariance(kind: str, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The model covariance and its Cholesky factor, built once per kind and size.
+
+    Every caller shares the cached arrays, so both are read-only.
+    """
     if kind == "independence":
-        return np.eye(size)
-    idx = np.arange(size)
-    return AR_RHO ** np.abs(np.subtract.outer(idx, idx))
+        sigma = np.eye(size)
+    else:
+        idx = np.arange(size)
+        sigma = AR_RHO ** np.abs(np.subtract.outer(idx, idx))
+    factor = np.linalg.cholesky(sigma)
+    sigma.flags.writeable = False
+    factor.flags.writeable = False
+    return sigma, factor
 
 
 def _standard_noise(rng: np.random.Generator, size: int, family: str) -> np.ndarray:
@@ -134,6 +144,10 @@ def _standard_noise(rng: np.random.Generator, size: int, family: str) -> np.ndar
     if family == "laplace":
         return rng.laplace(scale=1.0 / math.sqrt(2.0), size=size)
     if family == "skew-normal-10":
+        # scipy.stats is imported here, not at module level: it is most of
+        # the package's start-up time, and only this family draws from it
+        from scipy.stats import skewnorm
+
         d = SKEW_SHAPE / math.sqrt(1.0 + SKEW_SHAPE**2)
         mean = d * math.sqrt(2.0 / math.pi)
         std = math.sqrt(1.0 - 2.0 * d * d / math.pi)
@@ -173,10 +187,8 @@ def generate_pair(config: ExperimentConfig, trial_index: int) -> TimeSeriesPair:
     applied, so all families share the declared second moments.  Deterministic
     in ``(config.seed, trial_index)``.
     """
-    sx = _covariance(config.covariance, config.n)
-    sy = _covariance(config.covariance, config.m)
-    lx = np.linalg.cholesky(sx)
-    ly = np.linalg.cholesky(sy)
+    sx, lx = _covariance(config.covariance, config.n)
+    sy, ly = _covariance(config.covariance, config.m)
     x = lx @ _standard_noise(_stream_rng(config.seed, trial_index, 0), config.n, config.noise)
     y = config.delta + ly @ _standard_noise(
         _stream_rng(config.seed, trial_index, 1), config.m, config.noise

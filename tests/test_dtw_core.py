@@ -436,6 +436,18 @@ class TestBellmanWavefront:
             assert wavefront_tables(costs) == scalar_tables(costs)
         assert np.isinf(costs).any() and not np.isinf(costs).all()
 
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (7, 1), (2, 9), (9, 2), (12, 12), (5, 30)])
+    def test_unset_padding_is_never_read(self, poison_empty, n, m):
+        # only the column i = -1 and the cells j = -1 are padded; with every
+        # other entry -inf before the fill, the tables and sums must not move
+        rng = np.random.default_rng([n, m, 2])
+        costs = square_costs(rng, n, m, 5, decimals=0)
+        xs, ys = np.round(rng.normal(size=(9, n)), 1), np.round(rng.normal(size=(9, m)), 1)
+        tables, sums = scalar_tables(costs), bellman_abs_sums(xs, ys)
+        poison_empty()
+        assert wavefront_tables(costs) == tables
+        assert [v.hex() for v in bellman_abs_sums(xs, ys)] == [v.hex() for v in sums]
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.integers(1, 12),

@@ -1,5 +1,6 @@
 """Tests for data generation, batch drivers, and file I/O."""
 
+import hashlib
 import json
 import math
 
@@ -7,7 +8,9 @@ import numpy as np
 import pytest
 
 from dtwsi.harness import (
+    COVARIANCES,
     EXACT_METHODS,
+    NOISES,
     ExperimentConfig,
     UcrFormatError,
     estimated_variance_pair,
@@ -67,6 +70,40 @@ class TestGeneratePair:
             second.extend(x[1:])
         corr = np.corrcoef(first, second)[0, 1]
         assert corr == pytest.approx(0.5, abs=0.03)
+
+    # SHA-256 prefixes of 20 pairs per family and covariance: x, y and both
+    # covariances, for n, m = 7, 5 and 1, 3.  Any change to a stream, to the
+    # order of its draws or to the covariance factor changes the digest.
+    PINNED_DRAWS = {
+        ("gaussian", "independence"): "70e915e52aaf7c98ac9f619624c7c177",
+        ("gaussian", "ar-correlation"): "ce76d26586ebb4dcd71500b2aafe7502",
+        ("laplace", "independence"): "8ea8fce25420845055fe3c8359aa1d89",
+        ("laplace", "ar-correlation"): "304f0a8e0a9ba5081d71354f9f418e83",
+        ("skew-normal-10", "independence"): "a12bd1ea0d9ee0a439523c4e6ae34028",
+        ("skew-normal-10", "ar-correlation"): "a51aaee9df5c6a27bf0856f6910ec62b",
+        ("student-t-20", "independence"): "aa45654ae4620a32fb06647588d6424b",
+        ("student-t-20", "ar-correlation"): "741d64baa42e926af2de36199714d185",
+    }
+
+    def test_pinned_draws(self):
+        assert set(self.PINNED_DRAWS) == {(f, c) for f in NOISES for c in COVARIANCES}
+        for (noise, covariance), want in self.PINNED_DRAWS.items():
+            h = hashlib.sha256()
+            for n, m in ((7, 5), (1, 3)):
+                cfg = ExperimentConfig(n=n, m=m, delta=0.5, covariance=covariance, noise=noise, seed=11)
+                for t in range(10):
+                    pair = generate_pair(cfg, t)
+                    for a in (pair.x, pair.y, pair.sigma_x, pair.sigma_y):
+                        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+            assert h.hexdigest()[:32] == want, (noise, covariance)
+
+    def test_model_covariance_is_read_only(self):
+        # the covariance is cached and shared by every pair of a size
+        cfg = ExperimentConfig(n=4, m=4, covariance="ar-correlation")
+        a, b = generate_pair(cfg, 0), generate_pair(cfg, 1)
+        assert a.sigma_x is b.sigma_y
+        with pytest.raises(ValueError):
+            a.sigma_x[0, 1] = 0.0
 
     @pytest.mark.parametrize("family", ["gaussian", "laplace", "skew-normal-10", "student-t-20"])
     def test_noise_families_standardized(self, family):

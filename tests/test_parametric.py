@@ -557,6 +557,17 @@ class TestSubWindowBound:
             sharper += int((unusable > single).sum())
         assert sharper > 500
 
+    def test_unset_padding_is_never_read(self, poison_empty):
+        # the bound's views of the wavefront's table read grid cells only
+        cases = list(bound_cases(400))
+        want = [parametric._unusable_cells(*case) for case in cases]
+        assert {(case[0].n == 1, case[0].m == 1) for case in cases} == {
+            (a, b) for a in (False, True) for b in (False, True)
+        }
+        poison_empty()
+        for case, mask in zip(cases, want):
+            assert (parametric._unusable_cells(*case) == mask).all()
+
     def test_cells_walked_per_pair(self, monkeypatch):
         # single-pair benchmark pairs: the sub-windows and the witness losses
         # leave about half the cells the single-window midpoint bound left
