@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .harness import (
     parse_config_file,
     run_ci,
     run_fpr,
+    summary_record,
     write_report_csv,
     write_report_jsonl,
 )
@@ -48,9 +49,6 @@ NOISE_TOKENS = {
     "skewnormal": "skew-normal-10",
     "t20": "student-t-20",
 }
-
-INT_FIELDS = {"n", "m", "trials", "seed", "B"}
-FLOAT_FIELDS = {"delta", "alpha"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,14 +126,10 @@ def _cmd_test(args) -> int:
 def _config_from_args(args) -> ExperimentConfig:
     values: dict = {}
     if args.config:
-        raw = parse_config_file(args.config)
-        for key, value in raw.items():
-            if key in INT_FIELDS:
-                values[key] = int(value)
-            elif key in FLOAT_FIELDS:
-                values[key] = float(value)
-            else:
-                values[key] = value
+        # each field's default says its type; an unknown key reaches the constructor as is
+        types = {f.name: type(f.default) for f in fields(ExperimentConfig)}
+        for key, value in parse_config_file(args.config).items():
+            values[key] = types[key](value) if key in types else value
     overrides = {
         "method": args.method,
         "n": args.n,
@@ -163,14 +157,7 @@ def _cmd_simulate(args) -> int:
             write_report_jsonl(report, args.out)
         else:
             write_report_csv(report, args.out)
-    summary = {
-        "config": asdict(config),
-        "methods": {
-            name: {"rejection_rate": res.rejection_rate, "trials": len(res.p_values)}
-            for name, res in report.results.items()
-        },
-    }
-    print(json.dumps(summary, indent=2))
+    print(json.dumps(summary_record(report), indent=2))
     return EXIT_OK
 
 
@@ -182,6 +169,8 @@ def _close(got, want) -> bool:
 
 
 def _cmd_oracle(args) -> int:
+    if min(args.n, args.m, args.instances) < 1:
+        raise ValueError("--n, --m and --instances must be at least 1")
     rng = np.random.default_rng(args.seed)
     # windows draw from their own stream, so each seed keeps its instances
     window_rng = np.random.default_rng([args.seed, 1])

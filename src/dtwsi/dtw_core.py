@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 __all__ = [
     "TimeSeriesPair",
@@ -21,6 +22,7 @@ __all__ = [
     "bellman_abs_sums",
     "bellman_path",
     "bellman_predecessor",
+    "bellman_tables",
     "bellman_wavefront",
     "cost_matrix",
     "delannoy",
@@ -287,8 +289,8 @@ def bellman_wavefront(cost, n: int, m: int, rows: int) -> np.ndarray:
     diagonals in order and gives every cell the same minimum and the same
     single ``+`` as ``accumulated_cost``, so for costs that are neither NaN
     nor ``-0.0`` (squares and zeros qualify) each matrix's table is
-    bit-identical to the scalar one.  ``bellman_abs_sums`` and the
-    envelope's cell bound fill their tables here.
+    bit-identical to the scalar one.  ``bellman_abs_sums`` fills its
+    tables here, and ``bellman_tables`` for the envelope's cell bound.
 
     Layout: entry ``table[k + 2, i + 1, r]`` is matrix ``r``'s Bellman entry
     of cell ``(i, k - i)``, so the cells of one anti-diagonal are one slice;
@@ -311,6 +313,26 @@ def bellman_wavefront(cost, n: int, m: int, rows: int) -> np.ndarray:
         np.fmin(cell, table[k + 1, lo + 1 : hi + 2], out=cell)
         cell += cost(k, lo, hi)
     return table
+
+
+def bellman_tables(costs: np.ndarray) -> np.ndarray:
+    """Bellman tables of an ``(n, m, rows)`` stack of cost matrices, by ``bellman_wavefront``.
+
+    Returns a read-only ``(n, m, rows)`` strided view of the wavefront's
+    table: entry ``[i, j, r]`` is cell ``(i, j)`` of matrix ``r``.  A
+    C-contiguous stack is read in place, any other is copied once.
+    """
+    n, m, rows = costs.shape
+    # cell (i, k - i) is flat cell k + i (m - 1): an anti-diagonal is one slice
+    flat, step = costs.reshape(n * m, rows), max(m - 1, 1)
+    table = bellman_wavefront(
+        lambda k, first, last: flat[k + first * (m - 1) : k + last * (m - 1) + 1 : step],
+        n, m, rows,
+    )[2:, 1:]
+    # [i, j] is [i + j, i]: i + j stays below the n + m - 1 diagonals, so the
+    # view reads no memory outside the table
+    along, across, depth = table.strides
+    return as_strided(table, (n, m, rows), (along + across, along, depth), writeable=False)
 
 
 def bellman_abs_sums(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

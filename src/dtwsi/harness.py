@@ -32,6 +32,7 @@ __all__ = [
     "run_fpr",
     "run_ci",
     "load_ucr_pair",
+    "summary_record",
     "write_report_jsonl",
     "write_report_csv",
     "parse_config_file",
@@ -317,7 +318,8 @@ def _trial_records(report: ExperimentReport):
             yield rec
 
 
-def _summary_record(report: ExperimentReport) -> dict:
+def summary_record(report: ExperimentReport) -> dict:
+    """The config and each method's rates; the last line of the JSON-lines report."""
     summary = {"record": "summary", "config": asdict(report.config), "methods": {}}
     for name, res in report.results.items():
         block = {"rejection_rate": res.rejection_rate, "trials": len(res.p_values)}
@@ -334,7 +336,7 @@ def write_report_jsonl(report: ExperimentReport, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for rec in _trial_records(report):
             handle.write(json.dumps(rec) + "\n")
-        handle.write(json.dumps(_summary_record(report)) + "\n")
+        handle.write(json.dumps(summary_record(report)) + "\n")
 
 
 def write_report_csv(report: ExperimentReport, path: str) -> None:

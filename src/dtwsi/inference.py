@@ -46,9 +46,6 @@ __all__ = [
     "selective_confidence_interval",
 ]
 
-# Total log-mass below this is indistinguishable from zero in double precision.
-UNDERFLOW_LOG_MASS = -700.0
-
 
 def _membership_tol(sigma: float, z_obs: float) -> float:
     """Endpoint slack when checking that ``z_obs`` lies in its truncation region."""
@@ -165,11 +162,32 @@ def _log_mass(pieces: tuple[tuple[float, float], ...], mean: float, sigma: float
     return top + math.log(sum(math.exp(v - top) for v in masses))
 
 
+def _tail(region: IntervalUnion, z_obs: float, sigma: float) -> Callable[[float], float]:
+    """``mean -> P(Z >= z_obs | Z in region)`` for ``Z ~ N(mean, sigma^2)``, memoized.
+
+    The masses stay in log space, so the tail keeps its relative accuracy
+    however far out the region lies.  A region of zero width (log-mass
+    ``-inf``) raises ``RegionMassUnderflowError``.
+    """
+    pieces, upper = region.intervals, region.clip_lower(z_obs).intervals
+    tails: dict[float, float] = {}
+
+    def tail(mean: float) -> float:
+        if mean not in tails:
+            log_den = _log_mass(pieces, mean, sigma)
+            if log_den == -math.inf:
+                raise RegionMassUnderflowError("region mass underflow: region has zero width")
+            log_num = _log_mass(upper, mean, sigma) if upper else -math.inf
+            tails[mean] = 0.0 if log_num == -math.inf else min(1.0, math.exp(log_num - log_den))
+        return tails[mean]
+
+    return tail
+
+
 def truncated_gaussian_sf(z_obs: float, sigma: float, region: IntervalUnion) -> float:
     """Conditional tail probability ``P(Z >= z_obs | Z in region)``, ``Z ~ N(0, sigma^2)``.
 
-    Per-interval masses are computed as log-space differences of tail
-    probabilities and combined by log-sum-exp.
+    The tail that ``truncated_gaussian_ci`` solves, at mean 0.
 
     Raises
     ------
@@ -177,7 +195,7 @@ def truncated_gaussian_sf(z_obs: float, sigma: float, region: IntervalUnion) -> 
         If the region is empty, ``sigma`` is not positive, or ``z_obs`` is
         not a member of the region.
     RegionMassUnderflowError
-        If the total mass of the region underflows double precision.
+        If the region has zero width.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -185,14 +203,7 @@ def truncated_gaussian_sf(z_obs: float, sigma: float, region: IntervalUnion) -> 
         raise ValueError("truncation region is empty")
     if not region.contains(z_obs, tol=_membership_tol(sigma, z_obs)):
         raise ValueError(f"z_obs={z_obs} lies outside the truncation region {region}")
-    log_den = _log_mass(region.intervals, 0.0, sigma)
-    if log_den < UNDERFLOW_LOG_MASS:
-        raise RegionMassUnderflowError(
-            f"region mass underflow: log-mass {log_den:.2f} below {UNDERFLOW_LOG_MASS}"
-        )
-    upper = region.clip_lower(z_obs).intervals
-    log_num = _log_mass(upper, 0.0, sigma) if upper else -math.inf
-    return 0.0 if log_num == -math.inf else min(1.0, math.exp(log_num - log_den))
+    return _tail(region, z_obs, sigma)(0.0)
 
 
 def truncated_gaussian_ci(
@@ -224,17 +235,7 @@ def truncated_gaussian_ci(
         )
 
     # Memoized: the brackets of both bounds start from the same points.
-    pieces, upper_pieces = region.intervals, upper.intervals
-    tails: dict[float, float] = {}
-
-    def tail(theta: float) -> float:
-        if theta not in tails:
-            log_den = _log_mass(pieces, theta, sigma)
-            if log_den == -math.inf:
-                raise RegionMassUnderflowError("region mass underflow: region has zero width")
-            log_num = _log_mass(upper_pieces, theta, sigma)
-            tails[theta] = 0.0 if log_num == -math.inf else min(1.0, math.exp(log_num - log_den))
-        return tails[theta]
+    tail = _tail(region, z_obs, sigma)
 
     # Equal-tailed bounds sit roughly sigma^2 / (z_obs - edge) away when the
     # statistic is close to a truncation endpoint, which can be hundreds of

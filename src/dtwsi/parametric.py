@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .dtw_core import AlignmentMatrix, bellman_path, bellman_wavefront
+from .dtw_core import AlignmentMatrix, bellman_path, bellman_tables
 from .intervals import IntervalUnion, solve_quadratic_leq
 
 __all__ = [
@@ -477,11 +476,9 @@ def _unusable_cells(line: DataLine, lo: float, hi: float, known) -> np.ndarray:
     ``known`` must not be empty on a finite one.  Returns an ``n x m``
     boolean table.
 
-    All ``2 * SUB_WINDOWS`` tables come from one ``bellman_wavefront``: the
-    forward ones on the least costs, the backward ones on the same costs
-    with both axes reversed.  The wavefront reads the costs one
-    anti-diagonal at a time as a strided slice, and the bound reads the
-    tables back per cell through a strided view, so nothing is gathered.
+    All ``2 * SUB_WINDOWS`` tables come from one ``bellman_tables`` call:
+    the forward ones on the least costs, the backward ones on the same
+    costs with both axes reversed.
     """
     n, m = line.n, line.m
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -499,14 +496,9 @@ def _unusable_cells(line: DataLine, lo: float, hi: float, known) -> np.ndarray:
         costs = np.empty((n, m, 2 * SUB_WINDOWS))
         costs[:, :, :SUB_WINDOWS] = least.transpose(1, 2, 0)
         costs[:, :, SUB_WINDOWS:] = least[:, ::-1, ::-1].transpose(1, 2, 0)
-        # cell (i, k - i) is flat cell k + i (m - 1): an anti-diagonal is one slice
-        flat, step = costs.reshape(n * m, 2 * SUB_WINDOWS), max(m - 1, 1)
-        table = bellman_wavefront(
-            lambda k, first, last: flat[k + first * (m - 1) : k + last * (m - 1) + 1 : step],
-            n, m, 2 * SUB_WINDOWS,
-        )[2:, 1:]
-        ahead = _unskewed(table[:, :, :SUB_WINDOWS], m)
-        behind = _unskewed(table[:, :, SUB_WINDOWS:], m)[::-1, ::-1]
+        tables = bellman_tables(costs)
+        ahead = tables[:, :, :SUB_WINDOWS]
+        behind = tables[::-1, ::-1, SUB_WINDOWS:]
         bound = np.empty_like(least)
         np.add(ahead, behind, out=bound.transpose(1, 2, 0))
         bound -= least
@@ -528,18 +520,6 @@ def _least_costs(line: DataLine, edges: np.ndarray) -> np.ndarray:
     least = np.minimum(square[:-1], square[1:])
     least[~(at[:-1] * at[1:] > 0.0)] = 0.0  # a NaN product rules nothing out either
     return least
-
-
-def _unskewed(table: np.ndarray, m: int) -> np.ndarray:
-    """The ``n x m x r`` view of a table laid out as ``bellman_wavefront``'s: ``[i, j]`` is ``[i + j, i]``.
-
-    ``table`` is the wavefront's table from diagonal 0 and column 0 on, so
-    ``i + j`` stays below its ``n + m - 1`` diagonals and the view reads no
-    memory outside it.
-    """
-    step, across, depth = table.strides
-    n, r = table.shape[1:]
-    return as_strided(table, (n, m, r), (step + across, step, depth), writeable=False)
 
 
 def z1_region(env: PiecewiseEnvelope, M_obs: AlignmentMatrix) -> IntervalUnion:

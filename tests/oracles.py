@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import log_ndtr
 
 from dtwsi.dtw_core import accumulated_cost, bellman_predecessor, cost_matrix
-from dtwsi.inference import UNDERFLOW_LOG_MASS, RegionMassUnderflowError
+from dtwsi.inference import RegionMassUnderflowError
 from dtwsi.parametric import (
     MIN_BREAKPOINT_GAP,
     TIE_BAND,
@@ -56,7 +56,11 @@ def log_region_mass(region, mean, sigma):
     return top + math.log(sum(math.exp(v - top) for v in masses))
 
 
-def _truncated_sf(upper, sigma, mean, log_den):
+def _tail(region, upper, sigma, mean):
+    """``P(Z >= z_obs | Z in region)`` at ``mean``; ``upper`` is the region clipped at ``z_obs``."""
+    log_den = log_region_mass(region, mean, sigma)
+    if log_den == -math.inf:
+        raise RegionMassUnderflowError("region mass underflow: region has zero width")
     if upper.is_empty:
         return 0.0
     log_num = log_region_mass(upper, mean, sigma)
@@ -67,12 +71,7 @@ def _truncated_sf(upper, sigma, mean, log_den):
 
 def truncated_gaussian_sf(z_obs, sigma, region):
     """The tail at mean 0, for a region that holds ``z_obs`` (no membership check)."""
-    log_den = log_region_mass(region, 0.0, sigma)
-    if log_den < UNDERFLOW_LOG_MASS:
-        raise RegionMassUnderflowError(
-            f"region mass underflow: log-mass {log_den:.2f} below {UNDERFLOW_LOG_MASS}"
-        )
-    return _truncated_sf(region.clip_lower(z_obs), sigma, 0.0, log_den)
+    return _tail(region, region.clip_lower(z_obs), sigma, 0.0)
 
 
 def truncated_gaussian_ci(z_obs, sigma, region, alpha):
@@ -89,19 +88,13 @@ def truncated_gaussian_ci(z_obs, sigma, region, alpha):
             f"region {region}, so the tail probability is the same for every mean"
         )
 
-    def tail(theta):
-        log_den = log_region_mass(region, theta, sigma)
-        if log_den == -math.inf:
-            raise RegionMassUnderflowError("region mass underflow: region has zero width")
-        return _truncated_sf(upper, sigma, theta, log_den)
-
     max_width = 2.0**40
 
     def bracket(target, sign, flipped):
         width = 2.0
         while width <= max_width:
             theta = z_obs + sign * width * sigma
-            if flipped(tail(theta), target):
+            if flipped(_tail(region, upper, sigma, theta), target):
                 return theta
             width *= 2.0
         raise ArithmeticError(f"confidence bound bracket failed within {max_width} sigma")
@@ -111,7 +104,7 @@ def truncated_gaussian_ci(z_obs, sigma, region, alpha):
         hi = bracket(target, +1.0, lambda t, tgt: t >= tgt)
         while hi - lo > 1e-8 * sigma:
             mid = 0.5 * (lo + hi)
-            if tail(mid) < target:
+            if _tail(region, upper, sigma, mid) < target:
                 lo = mid
             else:
                 hi = mid

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import dtwsi
 from dtwsi.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from dtwsi.harness import ExperimentConfig
 
 SRC = str(Path(dtwsi.__file__).resolve().parents[1])
 
@@ -146,6 +148,28 @@ class TestSimulateCommand:
         assert summary["config"]["noise"] == "student-t-20"
         assert summary["config"]["n"] == 4
 
+    def test_ci_summary_is_the_report_summary(self, capsys, tmp_path):
+        out = tmp_path / "rep.jsonl"
+        code = main(
+            ["simulate", "--ci", "--n", "4", "--m", "4", "--delta", "1", "--trials", "3",
+             "--seed", "2", "--out", str(out)]
+        )
+        assert code == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary == json.loads(out.read_text().splitlines()[-1])
+        for block in summary["methods"].values():
+            assert {"coverage_rate", "mean_ci_length", "median_ci_length"} <= set(block)
+
+    def test_config_file_setting_every_field(self, capsys, tmp_path):
+        config = ExperimentConfig(
+            method="si-dtw-oc", n=5, m=4, delta=0.5, covariance="ar-correlation",
+            noise="laplace", variance_mode="estimated", alpha=0.1, trials=2, seed=3, B=50,
+        )
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in asdict(config).items()))
+        assert main(["simulate", "--config", str(cfg)]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["config"] == asdict(config)
+
     def test_csv_format(self, capsys, tmp_path):
         out = tmp_path / "rep.csv"
         code = main(
@@ -185,3 +209,10 @@ class TestOracleCommand:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "20/20 instances consistent" in out
+
+    @pytest.mark.parametrize("flag", ["--n", "--m", "--instances"])
+    def test_size_below_one_is_input_error(self, capsys, flag):
+        assert main(["oracle", flag, "0"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: --n, --m and --instances must be at least 1\n"

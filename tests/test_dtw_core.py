@@ -10,6 +10,7 @@ from dtwsi.dtw_core import (
     accumulated_cost,
     bellman_abs_sums,
     bellman_path,
+    bellman_tables,
     bellman_wavefront,
     cost_matrix,
     delannoy,
@@ -447,6 +448,16 @@ class TestBellmanWavefront:
         poison_empty()
         assert wavefront_tables(costs) == tables
         assert [v.hex() for v in bellman_abs_sums(xs, ys)] == [v.hex() for v in sums]
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (7, 1), (2, 9), (9, 2), (12, 12), (5, 30)])
+    def test_tables_view(self, n, m):
+        # in place from a C-contiguous stack, after one copy from any other
+        costs = square_costs(np.random.default_rng([n, m, 3]), n, m, 5, decimals=1)
+        for stack in (costs, np.ascontiguousarray(costs)):
+            tables = bellman_tables(stack)
+            assert tables.shape == (n, m, 5) and not tables.flags.writeable
+            got = [[[v.hex() for v in row] for row in tables[:, :, r].tolist()] for r in range(5)]
+            assert got == scalar_tables(costs)
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -33,6 +33,23 @@ import oracles
 INF = math.inf
 
 
+def mpmath_sf(z_obs, sigma, intervals):
+    """``P(Z >= z_obs | Z in intervals)``, ``Z ~ N(0, sigma^2)``, at 50 digits, as a float."""
+    mpmath = pytest.importorskip("mpmath")
+
+    def phi_bar(x):
+        return mpmath.erfc(x / mpmath.sqrt(2)) / 2
+
+    with mpmath.workdps(50):
+        num = den = mpmath.mpf(0)
+        for lo, hi in intervals:
+            hi_s = mpmath.mpf(hi) / sigma
+            den += phi_bar(mpmath.mpf(lo) / sigma) - phi_bar(hi_s)
+            if max(lo, z_obs) < hi:
+                num += phi_bar(mpmath.mpf(max(lo, z_obs)) / sigma) - phi_bar(hi_s)
+        return float(num / den)
+
+
 def random_pair(seed, n=5, m=5):
     rng = np.random.default_rng(seed)
     return TimeSeriesPair(rng.normal(size=n), rng.normal(size=m))
@@ -193,23 +210,6 @@ class TestTruncatedGaussianSf:
         assert all(p1 >= p2 - 1e-12 for p1, p2 in zip(ps, ps[1:]))
 
     def test_high_precision_far_tails(self):
-        mpmath = pytest.importorskip("mpmath")
-        mp = mpmath.mp
-        mp.dps = 50
-
-        def phi_bar(x):
-            return mpmath.erfc(x / mpmath.sqrt(2)) / 2
-
-        def exact(z_obs, sigma, intervals):
-            num = den = mpmath.mpf(0)
-            for lo, hi in intervals:
-                lo_s, hi_s = mpmath.mpf(lo) / sigma, mpmath.mpf(hi) / sigma
-                den += phi_bar(lo_s) - phi_bar(hi_s)
-                lo_n = max(lo, z_obs)
-                if lo_n < hi:
-                    num += phi_bar(mpmath.mpf(lo_n) / sigma) - phi_bar(hi_s)
-            return float(num / den)
-
         rng = np.random.default_rng(77)
         for _ in range(25):
             sigma = float(rng.uniform(0.5, 2.0))
@@ -218,8 +218,38 @@ class TestTruncatedGaussianSf:
             region = IntervalUnion(intervals)
             z_obs = float(rng.uniform(*intervals[rng.integers(0, 3)]))
             got = truncated_gaussian_sf(z_obs, sigma, region)
-            want = exact(z_obs, sigma, intervals)
+            want = mpmath_sf(z_obs, sigma, intervals)
             assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+
+    @pytest.mark.parametrize("sigma", [1.0, 0.7])
+    @pytest.mark.parametrize(
+        "pieces, z_obs",
+        [
+            ([(40.0, 41.0)], 40.5),  # log-mass about -805
+            ([(298.0, 299.5), (300.0, 300.25), (301.0, 305.0)], 300.1),  # about -44,400
+        ],
+    )
+    def test_regions_beyond_exp_underflow(self, pieces, z_obs, sigma):
+        # the masses underflow as floats but not as log-masses, and the
+        # log-space tail keeps its relative accuracy there
+        intervals = [(lo * sigma, hi * sigma) for lo, hi in pieces]
+        region = IntervalUnion(intervals)
+        assert inference._log_mass(region.intervals, 0.0, sigma) < -800.0
+        got = truncated_gaussian_sf(z_obs * sigma, sigma, region)
+        assert 0.0 < got < 1.0
+        assert got == pytest.approx(mpmath_sf(z_obs * sigma, sigma, intervals), rel=1e-10)
+
+    def test_zero_width_region_raises(self):
+        # wider than zero, but narrower than any change of the tail
+        # log-probabilities, so its log-mass is -inf at every mean
+        region = IntervalUnion([(0.0, 1e-300)])
+        assert inference._log_mass(region.intervals, 0.0, 1.0) == -INF
+        with pytest.raises(RegionMassUnderflowError, match="zero width"):
+            truncated_gaussian_sf(5e-301, 1.0, region)
+        with pytest.raises(RegionMassUnderflowError, match="zero width"):
+            truncated_gaussian_sf(1.0, 1.0, IntervalUnion([(1.0, 1.0)]))
+        with pytest.raises(RegionMassUnderflowError, match="zero width"):
+            truncated_gaussian_ci(5e-301, 1.0, region, 0.05)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -229,10 +259,15 @@ class TestTruncatedGaussianSf:
         with pytest.raises(ValueError):
             truncated_gaussian_sf(0.5, 0.0, IntervalUnion([(0.0, 1.0)]))
 
-    def test_underflow_raises_with_log_mass(self):
-        region = IntervalUnion([(40.0, 41.0)])
-        with pytest.raises(RegionMassUnderflowError, match="log-mass"):
-            truncated_gaussian_sf(40.5, 1.0, region)
+    @pytest.mark.parametrize("trial", [9, 16, 48, 54])
+    def test_shifted_pairs_far_out_in_their_tails(self, trial):
+        # delta = 20: the over-conditioned regions of these pairs lie about
+        # 44 sigma out, with log-masses from -880 to -1012
+        pair = generate_pair(ExperimentConfig(n=10, m=10, delta=20.0, seed=1, trials=60), trial)
+        res = si_dtw_oc_p_value(pair)
+        assert inference._log_mass(res.region.intervals, 0.0, res.sigma) < -800.0
+        want = mpmath_sf(res.z_obs, res.sigma, res.region)
+        assert res.p_selective == pytest.approx(want, rel=1e-10)
 
 
 class TestSelectivePValue:

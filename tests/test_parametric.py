@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dtwsi import parametric
-from dtwsi.dtw_core import TimeSeriesPair, cost_matrix, dtw, enumerate_alignments
+from dtwsi.dtw_core import TimeSeriesPair, accumulated_cost, cost_matrix, dtw, enumerate_alignments
 from dtwsi.harness import ExperimentConfig, generate_pair
 from dtwsi.inference import conditional_test, selective_p_value
 from dtwsi.intervals import IntervalUnion
@@ -556,6 +556,20 @@ class TestSubWindowBound:
             assert (unusable >= single).all()
             sharper += int((unusable > single).sum())
         assert sharper > 500
+
+    def test_matches_scalar_tables(self, monkeypatch):
+        # the stacked tables are the scalar recursion's, so the masks are too
+        cases = list(bound_cases(400))
+        want = [parametric._unusable_cells(*case) for case in cases]
+
+        def scalar_tables(costs):
+            return np.stack(
+                [accumulated_cost(costs[:, :, r].tolist()) for r in range(costs.shape[2])], axis=-1
+            )
+
+        monkeypatch.setattr(parametric, "bellman_tables", scalar_tables)
+        for case, mask in zip(cases, want):
+            assert (parametric._unusable_cells(*case) == mask).all()
 
     def test_unset_padding_is_never_read(self, poison_empty):
         # the bound's views of the wavefront's table read grid cells only
