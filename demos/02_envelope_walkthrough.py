@@ -52,8 +52,11 @@ for k, (M, q) in enumerate(env_fast.segments):
 
 region_signs = z2_region(line, alignment, signs)
 (window,) = region_signs.intervals
-env_window = para_dtw(line, n, m, window)  # the envelope inference builds
-print(f"\nsign-preserving window {region_signs}; envelope built on it alone:")
+# The window-only envelope: the reference the tests hold inference's envelope
+# to.  Inference (si_dtw_region) builds on a witness hull inside the window
+# and caps it with the witnesses' losses.
+env_window = para_dtw(line, n, m, window)
+print(f"\nsign-preserving window {region_signs}; window-only envelope:")
 for k, (M, q) in enumerate(env_window.segments):
     lo, hi = env_window.breakpoints[k], env_window.breakpoints[k + 1]
     marker = " <- observed" if M.path == alignment.path else ""

@@ -139,9 +139,9 @@ def _log_mass_standard(lo: float, hi: float) -> float:
         a, b = log_ndtr(-lo), log_ndtr(-hi)
     else:
         return np.logaddexp(_log_mass_standard(lo, 0.0), _log_mass_standard(0.0, hi))
-    t = b - a
-    if t >= 0.0:
+    if b >= a:  # no mass, or both tails -inf (beyond about 1.3e154), where b - a is NaN
         return -math.inf
+    t = b - a
     if t > -math.log(2.0):
         return a + math.log(-math.expm1(t))
     return a + math.log1p(-math.exp(t))
@@ -165,10 +165,16 @@ def _log_mass(pieces: tuple[tuple[float, float], ...], mean: float, sigma: float
 def _tail(region: IntervalUnion, z_obs: float, sigma: float) -> Callable[[float], float]:
     """``mean -> P(Z >= z_obs | Z in region)`` for ``Z ~ N(mean, sigma^2)``, memoized.
 
-    The masses stay in log space, so the tail keeps its relative accuracy
-    however far out the region lies.  A region of zero width (log-mass
-    ``-inf``) raises ``RegionMassUnderflowError``.
+    The truncated Gaussian's one gate: see ``truncated_gaussian_sf`` for what
+    raises.  The masses stay in log space, so the tail keeps its relative
+    accuracy however far out the region lies.
     """
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"sigma={sigma} must be finite and positive")
+    if region.is_empty:
+        raise ValueError("truncation region is empty")
+    if not (math.isfinite(z_obs) and region.contains(z_obs, tol=_membership_tol(sigma, z_obs))):
+        raise ValueError(f"z_obs={z_obs} lies outside the truncation region {region}")
     pieces, upper = region.intervals, region.clip_lower(z_obs).intervals
     tails: dict[float, float] = {}
 
@@ -176,7 +182,7 @@ def _tail(region: IntervalUnion, z_obs: float, sigma: float) -> Callable[[float]
         if mean not in tails:
             log_den = _log_mass(pieces, mean, sigma)
             if log_den == -math.inf:
-                raise RegionMassUnderflowError("region mass underflow: region has zero width")
+                raise RegionMassUnderflowError("the region carries no representable mass")
             log_num = _log_mass(upper, mean, sigma) if upper else -math.inf
             tails[mean] = 0.0 if log_num == -math.inf else min(1.0, math.exp(log_num - log_den))
         return tails[mean]
@@ -192,17 +198,10 @@ def truncated_gaussian_sf(z_obs: float, sigma: float, region: IntervalUnion) -> 
     Raises
     ------
     ValueError
-        If the region is empty, ``sigma`` is not positive, or ``z_obs`` is
-        not a member of the region.
+        Unless ``sigma`` is finite and positive and the region holds ``z_obs``.
     RegionMassUnderflowError
-        If the region has zero width.
+        If the region carries no representable mass.
     """
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if region.is_empty:
-        raise ValueError("truncation region is empty")
-    if not region.contains(z_obs, tol=_membership_tol(sigma, z_obs)):
-        raise ValueError(f"z_obs={z_obs} lies outside the truncation region {region}")
     return _tail(region, z_obs, sigma)(0.0)
 
 
@@ -218,14 +217,23 @@ def truncated_gaussian_ci(
     ``1 - alpha/2`` by bisection to ``1e-8 sigma``; the tail probability is
     increasing in the mean, so each equation has at most one root.  Brackets
     start two standard deviations out and double until the tail crosses the
-    target.  With ``z_obs`` at either end of the region (within the membership
-    tolerance) the tail is 1 or 0 for every mean: no bound exists, and
-    ``ArithmeticError`` is raised before any tail is evaluated.
+    target.
+
+    Raises
+    ------
+    ValueError
+        Unless ``sigma`` is finite and positive, the region holds ``z_obs`` and
+        ``alpha`` lies in (0, 1).
+    RegionMassUnderflowError
+        If the region carries no representable mass.
+    ArithmeticError
+        If ``z_obs`` is at an end of the region, where no mean moves the tail
+        (raised before any tail is evaluated), or a bracket passes 2^40 sigma.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    if region.is_empty:
-        raise ValueError("truncation region is empty")
+    # Memoized: the brackets of both bounds start from the same points.
+    tail = _tail(region, z_obs, sigma)
     upper = region.clip_lower(z_obs)
     if upper == region or all(lo == hi for lo, hi in upper):
         end = "lower" if upper == region else "upper"
@@ -233,9 +241,6 @@ def truncated_gaussian_ci(
             f"no confidence bound: z_obs={z_obs} lies at the {end} end of its truncation "
             f"region {region}, so the tail probability is the same for every mean"
         )
-
-    # Memoized: the brackets of both bounds start from the same points.
-    tail = _tail(region, z_obs, sigma)
 
     # Equal-tailed bounds sit roughly sigma^2 / (z_obs - edge) away when the
     # statistic is close to a truncation endpoint, which can be hundreds of

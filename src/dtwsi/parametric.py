@@ -13,6 +13,7 @@ the cell bound and the tie-band membership are decided here and nowhere else.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,12 +39,10 @@ MIN_BREAKPOINT_GAP = 1e-12
 # Quadratic intersections with a discriminant this close to zero are treated
 # as tangencies: the parabolas touch but do not cross.
 TANGENCY_TOL = 1e-12
-# Values, slopes or curvatures within this relative band count as tied.
+# Values, slopes or curvatures within this relative band count as tied; a
+# cell's loss bound must exceed a sub-window's cap by more than it, relative
+# to ``1 + cap`` (losses are in sigma^2), before the cell counts as unusable.
 TIE_BAND = 1e-9
-# A cell is skipped on a finite window only when its loss bound exceeds the
-# cap by more than this on every sub-window, relative to ``1 + cap`` (losses
-# are in sigma^2).
-CELL_BOUND_MARGIN = 1e-9
 # Witness cuts keep where the observed loss exceeds a witness's by at most
 # this, relative to ``1 + q_obs(t_obs)`` (losses are in sigma^2), so roundoff
 # in either loss cannot cut into the selection region.
@@ -147,14 +146,7 @@ class PiecewiseEnvelope:
                 f"z={z} lies outside the envelope's cover "
                 f"[{self.breakpoints[0]}, {self.breakpoints[-1]}]"
             )
-        lo, hi = 0, len(self.segments) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if z <= self.breakpoints[mid + 1]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
+        return bisect_left(self.breakpoints, z, 1, len(self.segments)) - 1
 
     def value(self, z: float) -> float:
         return self.segments[self.segment_index_at(z)][1](z)
@@ -317,7 +309,7 @@ def _walk_envelope(
     else:
         raise RuntimeError("envelope walk failed to terminate; degenerate candidate set")
     breakpoints.append(hi)
-    return _merge_segments(breakpoints, order, cands)
+    return _merge_segments(breakpoints, order)
 
 
 def _minimal_after(kept: list[int], z: float, cands) -> int:
@@ -335,8 +327,10 @@ def _minimal_after(kept: list[int], z: float, cands) -> int:
     return min(kept, key=lambda k: (cands[k][3], cands[k][2], cands[k][1]))
 
 
-def _merge_segments(breakpoints, order, cands):
-    """Drop sliver segments and fuse consecutive segments with equal paths.
+def _merge_segments(breakpoints, order):
+    """Drop sliver segments and fuse consecutive segments of the same candidate.
+
+    Distinct candidates are distinct paths: a duplicate never enters ``order``.
 
     A skipped sliver is absorbed by the segment that follows it, or, if it is
     the last, by the segment before it, so the result still ends at
@@ -349,7 +343,7 @@ def _merge_segments(breakpoints, order, cands):
         lo, hi = breakpoints[k], breakpoints[k + 1]
         if hi - lo < MIN_BREAKPOINT_GAP * max(1.0, abs(lo)) and (k < last or segs):
             continue
-        if segs and cands[seg][0] == cands[segs[-1]][0]:
+        if segs and seg == segs[-1]:
             bps[-1] = hi
             continue
         segs.append(seg)
@@ -470,7 +464,7 @@ def _unusable_cells(line: DataLine, lo: float, hi: float, known) -> np.ndarray:
     from above; it is convex, so on the sub-window it is at most its larger
     end value, and ``cap_s``, the least of those over ``known``, caps the
     optimal loss there.  A cell whose bound exceeds ``cap_s`` (beyond
-    ``CELL_BOUND_MARGIN``, for roundoff) on every sub-window therefore
+    ``TIE_BAND``, for roundoff) on every sub-window therefore
     carries no path that is optimal anywhere in the window.  A NaN bound
     or cap rules nothing out.  On an infinite window no cell is unusable.
     ``known`` must not be empty on a finite one.  Returns an ``n x m``
@@ -502,7 +496,7 @@ def _unusable_cells(line: DataLine, lo: float, hi: float, known) -> np.ndarray:
         bound = np.empty_like(least)
         np.add(ahead, behind, out=bound.transpose(1, 2, 0))
         bound -= least
-        return (bound > (cap + CELL_BOUND_MARGIN * (1.0 + cap))[:, None, None]).all(axis=0)
+        return (bound > (cap + TIE_BAND * (1.0 + cap))[:, None, None]).all(axis=0)
 
 
 def _least_costs(line: DataLine, edges: np.ndarray) -> np.ndarray:

@@ -156,7 +156,7 @@ def walk_envelope(cands, lo=-math.inf, hi=math.inf):
     else:
         raise RuntimeError("envelope walk failed to terminate; degenerate candidate set")
     breakpoints.append(hi)
-    return _merge_segments(breakpoints, order, cands)
+    return _merge_segments(breakpoints, order)
 
 
 def _minimal_after(kept, z, cands):

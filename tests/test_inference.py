@@ -1,6 +1,7 @@
 """Tests for the conditional inference layer."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,12 +245,23 @@ class TestTruncatedGaussianSf:
         # log-probabilities, so its log-mass is -inf at every mean
         region = IntervalUnion([(0.0, 1e-300)])
         assert inference._log_mass(region.intervals, 0.0, 1.0) == -INF
-        with pytest.raises(RegionMassUnderflowError, match="zero width"):
+        with pytest.raises(RegionMassUnderflowError, match="no representable mass"):
             truncated_gaussian_sf(5e-301, 1.0, region)
-        with pytest.raises(RegionMassUnderflowError, match="zero width"):
+        with pytest.raises(RegionMassUnderflowError, match="no representable mass"):
             truncated_gaussian_sf(1.0, 1.0, IntervalUnion([(1.0, 1.0)]))
-        with pytest.raises(RegionMassUnderflowError, match="zero width"):
+        with pytest.raises(RegionMassUnderflowError, match="no representable mass"):
             truncated_gaussian_ci(5e-301, 1.0, region, 0.05)
+
+    def test_pieces_beyond_tail_underflow_carry_no_mass(self):
+        # log_ndtr of both ends is -inf this far out: the piece's log-mass is
+        # -inf, not the NaN of -inf - (-inf), and no warning is raised
+        far = (1e200, 2e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert inference._log_mass_standard(*far) == -INF
+            with pytest.raises(RegionMassUnderflowError, match="no representable mass"):
+                truncated_gaussian_sf(1.5e200, 1.0, IntervalUnion([far]))
+            assert truncated_gaussian_sf(1.5e200, 1.0, IntervalUnion([(-1.0, 1.0), far])) == 0.0
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -258,6 +270,24 @@ class TestTruncatedGaussianSf:
             truncated_gaussian_sf(5.0, 1.0, IntervalUnion([(0.0, 1.0)]))
         with pytest.raises(ValueError):
             truncated_gaussian_sf(0.5, 0.0, IntervalUnion([(0.0, 1.0)]))
+
+    @pytest.mark.parametrize(
+        "call",
+        [truncated_gaussian_sf, lambda z, s, r: truncated_gaussian_ci(z, s, r, 0.05)],
+        ids=["sf", "ci"],
+    )
+    @pytest.mark.parametrize(
+        "sigma, z_obs, pieces, match",
+        [(sigma, 0.5, [(-1.0, 2.0)], "^sigma=") for sigma in (0.0, -1.0, math.nan, INF)]
+        + [(1.0, z, [(-1.0, 2.0)], "^z_obs=") for z in (-5.0, 5.0, math.nan, -INF, INF)]
+        + [(1.0, 0.5, [], "empty")],
+    )
+    def test_one_gate_for_p_value_and_bounds(self, call, sigma, z_obs, pieces, match):
+        # sigma finite and positive, z_obs in the region: checked once, before any tail
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                call(z_obs, sigma, IntervalUnion(pieces))
 
     @pytest.mark.parametrize("trial", [9, 16, 48, 54])
     def test_shifted_pairs_far_out_in_their_tails(self, trial):

@@ -254,6 +254,14 @@ class TestEnvelopeBruteforce:
                 pointwise_min(alignments, line, z), rel=1e-8, abs=1e-10
             )
 
+    def test_duplicate_alignments_give_the_same_envelope(self):
+        rng = np.random.default_rng(6)
+        alignments = enumerate_alignments(3, 3)
+        line = random_line(rng, 3, 3)
+        env = envelope_bruteforce(alignments, line)
+        for twice in (alignments + alignments, [M for M in alignments for _ in range(2)]):
+            assert envelope_bruteforce(twice, line) == env
+
     def test_adjacent_segments_agree_at_breakpoints(self):
         rng = np.random.default_rng(3)
         line = random_line(rng, 4, 3)
@@ -834,3 +842,15 @@ class TestPiecewiseEnvelope:
         assert env.segment_index_at(5.0) == 1
         assert env.value(-2.0) == 4.0
         assert env.value(2.0) == 1.0
+        # a shared breakpoint belongs to the segment on its left; a repeated
+        # one (a zero-width segment) to the leftmost segment that reaches it
+        bps = (-math.inf, -1.0, 0.5, 0.5, 2.0, math.inf)
+        env = PiecewiseEnvelope(bps, tuple((M, QuadraticLoss(float(k), 0.0, 0.0)) for k in range(5)))
+        # the segment just below, at, and just above each finite breakpoint
+        cases = {-1.0: (0, 0, 1), 0.5: (1, 1, 3), 2.0: (3, 3, 4)}
+        for b, (below, at, above) in cases.items():
+            assert env.segment_index_at(math.nextafter(b, -math.inf)) == below
+            assert env.segment_index_at(b) == at
+            assert env.segment_index_at(math.nextafter(b, math.inf)) == above
+        assert env.segment_index_at(-math.inf) == 0
+        assert env.segment_index_at(math.inf) == 4
