@@ -52,9 +52,10 @@ for k, (M, q) in enumerate(env_fast.segments):
 
 region_signs = z2_region(line, alignment, signs)
 (window,) = region_signs.intervals
-# The window-only envelope: the reference the tests hold inference's envelope
-# to.  Inference (si_dtw_region) builds on a witness hull inside the window
-# and caps it with the witnesses' losses.
+# The window-only envelope, unpruned: every cell is walked, as on the full
+# line.  It is the reference the tests hold inference's region to; inference
+# (si_dtw_region) walks the same table on a witness hull inside the window and
+# skips the cells the witnesses' losses rule out.
 env_window = para_dtw(line, n, m, window)
 print(f"\nsign-preserving window {region_signs}; window-only envelope:")
 for k, (M, q) in enumerate(env_window.segments):

@@ -36,11 +36,17 @@ from .inference import (
     selective_confidence_interval,
     selective_p_value,
 )
-from .parametric import DataLine, envelope_bruteforce, para_dtw, quadratic_loss, z1_region
+from .intervals import IntervalUnion
+from .parametric import DataLine, envelope_bruteforce, para_dtw, quadratic_loss
+from .parametric import si_dtw_region, z1_region
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+
+# The oracle's thresholds, relative to the value floored at 1 (p-values: absolute).
+ENVELOPE_TOL = 1e-8
+ORACLE_TOL = 1e-9
 
 COV_TOKENS = {"indep": "independence", "ar": "ar-correlation"}
 NOISE_TOKENS = {
@@ -162,10 +168,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _close(got, want) -> bool:
-    """Equal lengths, and each value equal or within ``1e-9`` relative (floored at 1)."""
+    """Equal lengths, and each value equal or within ``ORACLE_TOL`` relative (floored at 1)."""
     return len(got) == len(want) and all(
-        u == v or abs(u - v) <= 1e-9 * max(1.0, abs(v)) for u, v in zip(got, want)
+        u == v or abs(u - v) <= ORACLE_TOL * max(1.0, abs(v)) for u, v in zip(got, want)
     )
+
+
+def _same_pieces(got, want) -> bool:
+    """Equally many pieces, each with endpoints ``_close`` to the other's."""
+    return len(got) == len(want) and all(_close(u, v) for u, v in zip(got, want))
 
 
 def _cmd_oracle(args) -> int:
@@ -182,7 +193,7 @@ def _cmd_oracle(args) -> int:
         M, dist = dtw(pair)
         C = cost_matrix(pair)
         brute = min(sum(C[i - 1, j - 1] for i, j in A.path) for A in alignments)
-        ok_dtw = abs(dist - brute) <= 1e-9 * max(1.0, brute)
+        ok_dtw = abs(dist - brute) <= ORACLE_TOL * max(1.0, brute)
 
         a = rng.normal(size=n + m)
         b = rng.normal(size=n + m)
@@ -198,30 +209,31 @@ def _cmd_oracle(args) -> int:
         # the two walks may reach a crossing from different active candidates,
         # so breakpoints may differ in the last bits; the paths may not
         ok_env = (
-            worst <= 1e-8
+            worst <= ENVELOPE_TOL
             and [M.path for M, _ in env.segments] == [M.path for M, _ in env_bf.segments]
             and _close(env.breakpoints, env_bf.breakpoints)
         )
 
-        # a finite window, where para_dtw skips cells no optimal path uses
+        # the region builder on a finite window, where it skips cells: observed
+        # in each brute-force segment there, it gives that path's solid pieces
         lo = window_rng.uniform(-3.0, 3.0)
         hi = lo + 10.0 ** window_rng.uniform(-2.0, 0.5)
-        windowed = para_dtw(line, n, m, (lo, hi))
-        worst_window = max(
-            abs(windowed.value(z) - min(q(z) for q in losses)) / max(1.0, abs(windowed.value(z)))
-            for z in np.linspace(lo, hi, 50)
-        )
-        ok_window = worst_window <= 1e-8
+        window = IntervalUnion([(lo, hi)])
+        bps = env_bf.breakpoints
+        ok_window = True
+        for j, (A, _) in enumerate(env_bf.segments):
+            seg_lo, seg_hi = max(lo, bps[j]), min(hi, bps[j + 1])
+            if seg_lo <= seg_hi:
+                got = si_dtw_region(line, A, window, 0.5 * seg_lo + 0.5 * seg_hi)
+                want = z1_region(env_bf, A).intersect(window)
+                ok_window &= _same_pieces(*([p for p in r if p[1] > p[0]] for r in (got, want)))
 
         fast = selective_p_value(pair)
         slow = conditional_test(
             pair, lambda line, M, *_: z1_region(envelope_bruteforce(alignments, line), M)
         )
-        ok_p = abs(fast.p_selective - slow.p_selective) <= 1e-9
-        ok_region = len(fast.region) == len(slow.region) and all(
-            _close(piece_fast, piece_slow)
-            for piece_fast, piece_slow in zip(fast.region, slow.region)
-        )
+        ok_p = abs(fast.p_selective - slow.p_selective) <= ORACLE_TOL
+        ok_region = _same_pieces(fast.region, slow.region)
 
         status = "ok" if (ok_dtw and ok_env and ok_window and ok_p and ok_region) else "MISMATCH"
         print(

@@ -200,8 +200,8 @@ def _optimal_at(
     """A path optimal at ``z`` (Bellman on the series at ``z``) and its loss quadratic.
 
     ``terms`` are the line's ``cell_terms``.  Any path's loss bounds the
-    envelope from above everywhere, so callers may use the result as a
-    bound; it is exact only at ``z`` and up to roundoff.
+    envelope from above everywhere, so ``si_dtw_region``'s witness probes
+    use the result as a bound; it is exact only at ``z`` and up to roundoff.
     """
     path, _ = bellman_path(line.a1 + line.b1 * z, line.a2 + line.b2 * z)
     return path, _path_loss(path, terms)
@@ -352,13 +352,10 @@ def _merge_segments(breakpoints, order):
     return bps, segs
 
 
-def _envelope(bps, order, cands, n: int, m: int) -> PiecewiseEnvelope:
-    """The envelope whose segment ``k`` holds candidate ``cands[order[k]]``."""
-    segments = tuple(
-        (AlignmentMatrix(n, m, cands[k][0]), QuadraticLoss(cands[k][1], cands[k][2], cands[k][3]))
-        for k in order
-    )
-    return PiecewiseEnvelope(tuple(bps), segments)
+def _envelope(bps, segments, n: int, m: int) -> PiecewiseEnvelope:
+    """The envelope whose segment ``k`` holds the candidate ``segments[k]``."""
+    pieces = tuple((AlignmentMatrix(n, m, path), QuadraticLoss(*w)) for path, *w in segments)
+    return PiecewiseEnvelope(tuple(bps), pieces)
 
 
 def envelope_bruteforce(candidates, line: DataLine) -> PiecewiseEnvelope:
@@ -378,7 +375,7 @@ def envelope_bruteforce(candidates, line: DataLine) -> PiecewiseEnvelope:
         q = _path_loss(M.path, terms)
         cands.append((M.path, q.w0, q.w1, q.w2))
     bps, order = _walk_envelope(cands)
-    return _envelope(bps, order, cands, line.n, line.m)
+    return _envelope(bps, [cands[k] for k in order], line.n, line.m)
 
 
 def para_dtw(
@@ -386,44 +383,36 @@ def para_dtw(
 ) -> PiecewiseEnvelope:
     """Envelope of the optimal alignment loss for every ``z`` in ``window`` at once.
 
-    Fills an ``n x m`` table bottom-up.  Each cell's candidate paths extend
-    the paths its three predecessor cells kept by one step; the cell then
-    keeps exactly the candidates that win a segment of its own lower envelope
-    over ``window = (lo, hi)``.  The last cell's envelope is returned; it
-    covers ``[lo, hi]``, the whole line by default.
+    Fills an ``n x m`` table bottom-up over every cell.  Each cell's
+    candidate paths extend the paths its three predecessor cells kept by one
+    step; the cell then keeps exactly the candidates that win a segment of
+    its own lower envelope over ``window = (lo, hi)``.  The last cell's
+    envelope is returned; it covers ``[lo, hi]``, the whole line by default.
 
     Pruning to the window is exact by Bellman's prefix principle: a path that
     is optimal at ``(n, m)`` for some ``z`` in the window has a prefix that is
-    optimal, for that same ``z``, at every cell it passes through.
-
-    On a finite window, cells that no such path can pass through are skipped
-    first (see ``_unusable_cells``); the loss of the path optimal at the
-    window's midpoint is the one known loss that caps the optimum.  Every
-    path that is optimal somewhere in the window avoids the skipped cells,
-    so the envelope keeps the same losses over the window; only which of two
-    paths with identical losses it carries may change.  On an infinite
-    window nothing is skipped, so the full-line envelope, the oracle, is
-    built over every cell.
+    optimal, for that same ``z``, at every cell it passes through.  No cell
+    is skipped and no Bellman solve runs, on any window: this is the oracle
+    that the region builder ``si_dtw_region``, which skips cells, is checked
+    against.
     """
     if line.n != n or line.m != m:
         raise ValueError("line split does not match requested dimensions")
     lo, hi = window
     if not lo <= hi:
         raise ValueError(f"window ({lo}, {hi}) is empty")
-    terms = cell_terms(line)
-    finite = math.isfinite(lo) and math.isfinite(hi)
-    known = [_optimal_at(line, 0.5 * lo + 0.5 * hi, terms)[1]] if finite else []
-    return _table_envelope(line, lo, hi, terms, known)
+    usable = np.ones((n, m), dtype=bool)
+    return _envelope(*_table_envelope(line, lo, hi, cell_terms(line), usable), n, m)
 
 
-def _table_envelope(line: DataLine, lo: float, hi: float, terms, known) -> PiecewiseEnvelope:
-    """``para_dtw``'s table on ``[lo, hi]``, skipping the cells ``known`` losses rule out.
+def _table_envelope(line: DataLine, lo: float, hi: float, terms, usable):
+    """The table recursion on ``[lo, hi]`` over the cells marked ``usable``.
 
-    ``terms`` are the line's ``cell_terms``; ``known`` holds loss quadratics
-    of paths, each an upper bound on the envelope (see ``_unusable_cells``).
+    ``terms`` are the line's ``cell_terms`` and ``usable`` an ``n x m``
+    boolean table.  Returns the last cell's breakpoints and, per segment,
+    its candidate ``(path, w0, w1, w2)``.
     """
     n, m = line.n, line.m
-    usable = ~_unusable_cells(line, lo, hi, known)
     # the usable cells in row-major order, each with its three terms
     cells = zip(np.argwhere(usable).tolist(), zip(*(t[usable].tolist() for t in terms)))
     # skipped cells, and cells left without candidates, keep none
@@ -449,7 +438,7 @@ def _table_envelope(line: DataLine, lo: float, hi: float, terms, known) -> Piece
             table[i][j] = [cands[order[0]]]
         else:
             table[i][j] = [cands[k] for k in dict.fromkeys(order)]
-    return _envelope(bps, order, cands, n, m)
+    return bps, [cands[k] for k in order]
 
 
 def _unusable_cells(line: DataLine, lo: float, hi: float, known) -> np.ndarray:
@@ -468,7 +457,7 @@ def _unusable_cells(line: DataLine, lo: float, hi: float, known) -> np.ndarray:
     carries no path that is optimal anywhere in the window.  A NaN bound
     or cap rules nothing out.  On an infinite window no cell is unusable.
     ``known`` must not be empty on a finite one.  Returns an ``n x m``
-    boolean table.
+    boolean table.  Only ``si_dtw_region`` runs it; ``para_dtw`` skips none.
 
     All ``2 * SUB_WINDOWS`` tables come from one ``bellman_tables`` call:
     the forward ones on the least costs, the backward ones on the same
@@ -548,12 +537,13 @@ def si_dtw_region(
     keeps its probe (a near-tie within the slack, or a cut that keeps parts
     on both sides of the probe): the end did not move past the probe.
     Otherwise the end probes again one step inside its new position.  At most
-    ``WITNESS_GRID`` probes run in all.  The envelope is built on the final
-    hull, as ``para_dtw`` builds it, skipping the cells no path optimal in
-    that hull can use.  The losses that cap the optimum there are ``q_obs``
-    and every witness's, so the cell bound runs no Bellman solve of its own.
-    Every filter keeps a superset of the region, so the probes move speed
-    only.
+    ``WITNESS_GRID`` probes run in all.  The table recursion of ``para_dtw``
+    then runs on the final hull, skipping the cells no path optimal in that
+    hull can use (``_unusable_cells``).  The losses that cap the optimum
+    there are ``q_obs`` and every witness's, so the cell bound runs no
+    Bellman solve of its own.  Every filter keeps a superset of the region,
+    so the probes move speed only.  Segments are read as loss coefficients;
+    no alignment or envelope object is built.
 
     A segment whose loss equals ``M_obs``'s within the tie band counts as
     ``M_obs``'s: ``M_obs`` is optimal there too.  Which of two paths with
@@ -592,15 +582,12 @@ def si_dtw_region(
         # there could repeat the probe forever
         if not lo <= t <= hi:
             sides.append(side)
-    env = _table_envelope(line, lo, hi, terms, known)
-    bps = env.breakpoints
-    return IntervalUnion(
-        (bps[k], bps[k + 1]) for k, (_, q) in enumerate(env.segments) if _same_loss(q, q_obs)
-    )
+    bps, segments = _table_envelope(line, lo, hi, terms, ~_unusable_cells(line, lo, hi, known))
+    w_obs = q_obs.coefficients()
+    pieces = zip(bps, bps[1:], segments)
+    return IntervalUnion((a, b) for a, b, (_, *w) in pieces if _same_loss(w, w_obs))
 
 
-def _same_loss(q: QuadraticLoss, r: QuadraticLoss) -> bool:
-    """Whether two loss quadratics agree coefficient by coefficient within the tie band."""
-    return all(
-        abs(u - v) <= TIE_BAND * (1.0 + abs(v)) for u, v in zip(q.coefficients(), r.coefficients())
-    )
+def _same_loss(w, v) -> bool:
+    """Whether two ``(w0, w1, w2)`` loss triples agree coefficientwise within the tie band."""
+    return all(abs(a - b) <= TIE_BAND * (1.0 + abs(b)) for a, b in zip(w, v))

@@ -40,6 +40,20 @@ class TestTestCommand:
         lo, hi = record["region"][0]
         assert lo == "-inf" or isinstance(lo, float)
 
+    def test_infinite_region_end_is_a_string(self, tmp_path, capsys):
+        # strict JSON has no Infinity literal
+        fa, fb = tmp_path / "a.csv", tmp_path / "b.csv"
+        fa.write_text("1,1.5\n")
+        fb.write_text("2,-0.5\n")
+        assert main(["test", str(fa), str(fb), "--variance", "known"]) == EXIT_OK
+
+        def refuse(token):
+            raise ValueError(f"non-strict JSON constant {token}")
+
+        record = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        ((lo, hi),) = record["region"]
+        assert lo == 0.0 and hi == "inf"
+
     def test_over_conditioned_method(self, series_files, capsys):
         fa, fb = series_files
         assert main(["test", fa, fb, "--method", "si-dtw-oc"]) == EXIT_OK
@@ -134,6 +148,14 @@ class TestSimulateCommand:
         assert summary["methods"]["data-split"]["trials"] == 6
         lines = out.read_text().splitlines()
         assert json.loads(lines[-1])["record"] == "summary"
+
+    def test_permutation_method(self, capsys):
+        args = ["--method", "permutation", "--n", "6", "--m", "6", "--trials", "3", "--perm-B", "20"]
+        code = main(["simulate", *args])
+        assert code == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["config"]["method"] == "permutation"
+        assert summary["methods"]["permutation"]["trials"] == 3
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.txt"

@@ -7,12 +7,14 @@ import math
 import numpy as np
 import pytest
 
+from dtwsi.baselines import permutation_test
 from dtwsi.harness import (
     COVARIANCES,
     EXACT_METHODS,
     NOISES,
     ExperimentConfig,
     UcrFormatError,
+    _permutation_seed,
     estimated_variance_pair,
     generate_pair,
     load_ucr_pair,
@@ -150,6 +152,15 @@ class TestRunners:
                 EXACT_METHODS["si-dtw"](generate_pair(cfg, t)).p_selective for t in range(10)
             )
             assert run_fpr(cfg).results["si-dtw"].p_values == want
+
+    def test_permutation_batch_runs_each_trial_on_its_own_seed(self):
+        cfg = ExperimentConfig(method="permutation", n=5, m=5, trials=4, B=20, seed=12)
+        want = tuple(
+            permutation_test(generate_pair(cfg, t), cfg.B, _permutation_seed(cfg, t))
+            for t in range(cfg.trials)
+        )
+        assert run_fpr(cfg).results["permutation"].p_values == want
+        assert len(set(_permutation_seed(cfg, t) for t in range(cfg.trials))) == cfg.trials
 
     def test_reports_reproducible(self):
         cfg = ExperimentConfig(method="si-dtw-oc", n=4, m=4, trials=8, seed=9)

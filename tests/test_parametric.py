@@ -147,6 +147,23 @@ class TestEnvelopeWalk:
         assert [cands[k][0] for k in order] == ["base"] and bps == list(window)
 
 
+class TestMergeSegments:
+    @pytest.mark.parametrize(
+        "breakpoints, order, want",
+        [
+            # a sliver between two segments of one candidate: they fuse
+            ([0.0, 1.0, 1.0 + 1e-13, 2.0], [0, 1, 0], ([0.0, 2.0], [0])),
+            # a trailing sliver goes to the segment before, a leading one to the next
+            ([0.0, 1.0, 1.0 + 1e-13], [0, 1], ([0.0, 1.0 + 1e-13], [0])),
+            ([0.0, 1e-13, 1.0], [0, 1], ([0.0, 1.0], [1])),
+            # a lone sliver is kept
+            ([0.0, 1e-13], [0], ([0.0, 1e-13], [0])),
+        ],
+    )
+    def test_slivers(self, breakpoints, order, want):
+        assert parametric._merge_segments(breakpoints, order) == want
+
+
 def random_candidates(rng, K, decimals):
     """``K`` loss quadratics ``(label, w0, w1, w2)``; rounding makes ties and shared crossings."""
     w = np.column_stack([rng.uniform(0, 4, K), rng.normal(0, 2, K), rng.uniform(0, 1, K)])
@@ -405,6 +422,65 @@ def sample_windows(rng, env):
     return windows
 
 
+def builder_cases(full, lo, hi):
+    """``(M, t)`` per full-line segment that meets ``[lo, hi]``: its path, and a point of both.
+
+    The point is the middle of a short overlap, else one unit inside an end
+    of moderate size, else zero, so no loss at it overflows.
+    """
+    bps = full.breakpoints
+    for k, (M, _) in enumerate(full.segments):
+        seg_lo, seg_hi = max(lo, bps[k]), min(hi, bps[k + 1])
+        if seg_lo > seg_hi:
+            continue
+        if seg_hi - seg_lo <= 2.0:
+            yield M, 0.5 * seg_lo + 0.5 * seg_hi
+        elif seg_lo > -1e6:
+            yield M, seg_lo + 1.0
+        elif seg_hi < 1e6:
+            yield M, seg_hi - 1.0
+        else:
+            yield M, 0.0
+
+
+def record_tables(monkeypatch):
+    """Every table the region builder walks: ``(usable, breakpoints, segments)``."""
+    tables = []
+    table = parametric._table_envelope
+
+    def recording(line, lo, hi, terms, usable):
+        bps, segments = table(line, lo, hi, terms, usable)
+        tables.append((usable, bps, segments))
+        return bps, segments
+
+    monkeypatch.setattr(parametric, "_table_envelope", recording)
+    return tables
+
+
+def assert_builder_matches(line, full, lo, hi, tables):
+    """``si_dtw_region`` agrees with the full-line envelope ``full`` on ``[lo, hi]``.
+
+    It runs once per ``builder_cases`` entry.  Its region must hold the solid
+    pieces the full line gives the path within the window, and the pruned
+    table it walks must take the full line's values across the hull it is
+    built on.  ``tables`` is ``record_tables``'s list.  Returns each call's
+    usable-cell mask.
+    """
+    window = IntervalUnion([(lo, hi)])
+    masks = []
+    for M, t in builder_cases(full, lo, hi):
+        tables.clear()
+        got = parametric.si_dtw_region(line, M, window, t)
+        want = z1_region(full, M).intersect(window)
+        assert_same_pieces(solid_pieces(got), solid_pieces(want))
+        ((usable, bps, segments),) = tables
+        env = parametric._envelope(bps, segments, line.n, line.m)
+        for z in np.linspace(max(bps[0], t - 1e3), min(bps[-1], t + 1e3), 25):
+            assert env.value(z) == pytest.approx(full.value(z), rel=1e-9, abs=1e-12)
+        masks.append(usable)
+    return masks
+
+
 class TestWindowedParaDtw:
     def test_regions_match_full_line_engine(self):
         for seed in range(300):
@@ -424,6 +500,23 @@ class TestWindowedParaDtw:
                     assert_same_pieces(solid_pieces(got), solid_pieces(want))
                 if lo == hi:
                     assert windowed.value(lo) == pytest.approx(full.value(lo), rel=1e-9, abs=1e-12)
+
+    def test_builder_regions_match_full_line_engine(self, monkeypatch):
+        # the region builder, which skips cells, on the same window families
+        tables = record_tables(monkeypatch)
+        calls = skipped = 0
+        for seed in range(100):
+            rng = np.random.default_rng([11, seed])
+            n = int(rng.integers(2, 9))
+            m = int(rng.integers(2, 9))
+            line = random_line(rng, n, m)
+            full = para_dtw(line, n, m)
+            for lo, hi in sample_windows(rng, full):
+                masks = assert_builder_matches(line, full, lo, hi, tables)
+                calls += len(masks)
+                skipped += sum(not usable.all() for usable in masks)
+        # the bound must act on most calls for the test to mean anything
+        assert 2 * skipped >= calls
 
     def test_value_equals_full_line_inside_and_raises_outside(self):
         for seed in range(40):
@@ -465,19 +558,51 @@ class TestCellBound:
     def test_skips_cells_on_narrow_window(self, monkeypatch):
         walked = count_walks(monkeypatch)
         line = random_line(np.random.default_rng(19), 20, 20)
-        para_dtw(line, 20, 20, (-0.05, 0.05))
-        assert 0 < len(walked) < 20 * 20
+        full = para_dtw(line, 20, 20)
+        calls = 0
+        window = IntervalUnion([(-0.05, 0.05)])
+        for M, t in builder_cases(full, -0.05, 0.05):
+            walked.clear()
+            region = parametric.si_dtw_region(line, M, window, t)
+            assert 0 < len(walked) < 20 * 20
+            assert_same_pieces(solid_pieces(region), solid_pieces(z1_region(full, M).intersect(window)))
+            calls += 1
+        assert calls > 0
 
-    def test_full_line_skips_nothing(self, monkeypatch):
+    def test_para_dtw_skips_nothing(self, monkeypatch):
+        # the oracle walks every cell on any window, with no Bellman solve
+        def fail(*args):
+            raise AssertionError("para_dtw ran a Bellman solve")
+
+        monkeypatch.setattr(parametric, "_optimal_at", fail)
+        monkeypatch.setattr(parametric, "bellman_path", fail)
         walked = count_walks(monkeypatch)
         line = random_line(np.random.default_rng(16), 4, 5)
-        para_dtw(line, 4, 5)
-        para_dtw(line, 4, 5, (-math.inf, 0.0))
-        assert len(walked) == 2 * 4 * 5
+        windows = [
+            (-math.inf, math.inf), (-math.inf, 0.0), (0.0, math.inf),
+            (-0.05, 0.05), (0.3, 0.3), (-1e308, 1e308),
+        ]
+        for window in windows:
+            walked.clear()
+            para_dtw(line, 4, 5, window)
+            assert len(walked) == 4 * 5, window
+
+    def test_selective_p_value_builds_no_envelope_objects(self, monkeypatch):
+        # the region builder reads segments as loss coefficients
+        def fail(*args):
+            raise AssertionError("the region builder built an envelope object")
+
+        monkeypatch.setattr(parametric, "AlignmentMatrix", fail)
+        monkeypatch.setattr(parametric, "PiecewiseEnvelope", fail)
+        tables = record_tables(monkeypatch)
+        for k in range(4):
+            pair = generate_pair(ExperimentConfig(n=12, m=12, delta=(0.0, 1.5)[k % 2], seed=4), k)
+            assert 0.0 <= selective_p_value(pair).p_selective <= 1.0
+        assert len(tables) == 4
 
     def test_matches_full_line_inside_narrow_windows(self, monkeypatch):
-        walked = count_walks(monkeypatch)
-        skipped = 0
+        tables = record_tables(monkeypatch)
+        calls = skipped = 0
         for seed in range(80):
             rng = np.random.default_rng([17, seed])
             n = int(rng.integers(2, 9))
@@ -487,19 +612,11 @@ class TestCellBound:
             for width in (1e-3, 0.1, 1.0):
                 lo = float(rng.uniform(-3.0, 3.0))
                 hi = lo + width
-                walked.clear()
-                pruned = para_dtw(line, n, m, (lo, hi))
-                skipped += len(walked) < n * m
-                for z in np.linspace(lo, hi, 25):
-                    assert pruned.value(z) == pytest.approx(full.value(z), rel=1e-9, abs=1e-12)
-                window = IntervalUnion([(lo, hi)])
-                paths = {M.path: M for M, _ in full.segments + pruned.segments}
-                for M in paths.values():
-                    got = z1_region(pruned, M).intersect(window)
-                    want = z1_region(full, M).intersect(window)
-                    assert_same_pieces(solid_pieces(got), solid_pieces(want))
-        # the bound must act on most of these windows for the test to mean anything
-        assert skipped >= 120
+                masks = assert_builder_matches(line, full, lo, hi, tables)
+                calls += len(masks)
+                skipped += sum(not usable.all() for usable in masks)
+        # the bound must act on most of these calls for the test to mean anything
+        assert 2 * skipped >= calls
 
 
 def paths_optimal_in(full, lo, hi):
@@ -600,7 +717,8 @@ class TestSubWindowBound:
             outcome(selective_p_value, pair)
         assert len(walked) <= 55 * pairs
 
-    def test_overflowing_window_matches_full_line(self):
+    def test_overflowing_window_matches_full_line(self, monkeypatch):
+        tables = record_tables(monkeypatch)
         for seed in range(30):
             rng = np.random.default_rng([22, seed])
             n, m = (int(v) for v in rng.integers(1, 8, size=2))
@@ -611,21 +729,28 @@ class TestSubWindowBound:
             for z in sample_grid(full, 50):
                 assert windowed.value(z) == pytest.approx(full.value(z), rel=1e-9, abs=1e-12)
             assert_same_regions(windowed, full, -1e308, 1e308)
+            assert_builder_matches(line, full, -1e308, 1e308, tables)
 
     def test_overflowing_window_still_skips_cells(self, monkeypatch):
         # On a line with no direction every loss is constant, so the cap is
         # finite even on (-1e308, 1e308).  Sub-window edges that overflowed
         # there would be NaN, and the bound would then rule nothing out.
         walked = count_walks(monkeypatch)
+        tables = record_tables(monkeypatch)
         rng = np.random.default_rng(23)
         line = DataLine(rng.normal(size=24), np.zeros(24), 12)
-        env = para_dtw(line, 12, 12, (-1e308, 1e308))
+        ((M, want),) = para_dtw(line, 12, 12).segments
+        walked.clear()
+        tables.clear()
+        window = IntervalUnion([(-1e308, 1e308)])
+        assert parametric.si_dtw_region(line, M, window, 0.0) == window
         assert len(walked) < 12 * 12 // 2
-        want = para_dtw(line, 12, 12).segments[0][1]
-        assert len(env.segments) == 1
-        assert env.segments[0][1].coefficients() == pytest.approx(want.coefficients(), rel=1e-12)
+        ((_, _, segments),) = tables
+        assert len(segments) == 1
+        assert segments[0][1:] == pytest.approx(want.coefficients(), rel=1e-12)
 
-    def test_point_and_tiny_windows_match_full_line(self):
+    def test_point_and_tiny_windows_match_full_line(self, monkeypatch):
+        tables = record_tables(monkeypatch)
         for seed in range(60):
             rng = np.random.default_rng([24, seed])
             n, m = (int(v) for v in rng.integers(1, 9, size=2))
@@ -639,6 +764,7 @@ class TestSubWindowBound:
                     for z in (lo, 0.5 * lo + 0.5 * hi, hi):
                         assert windowed.value(z) == pytest.approx(full.value(z), rel=1e-9, abs=1e-12)
                     assert_same_regions(windowed, full, lo, hi)
+                    assert_builder_matches(line, full, lo, hi, tables)
 
 
 def window_only_region(line, M_obs, window, t_obs):
@@ -746,8 +872,8 @@ class TestWitnessProbes:
             q = QuadraticLoss(q_obs.w0 - side * t - 0.01, q_obs.w1 + side, q_obs.w2)
             return ((0, 0),), q
 
-        def hull_only(line, lo, hi, terms, known):
-            return PiecewiseEnvelope((lo, hi), ((M, q_obs),))
+        def hull_only(line, lo, hi, terms, usable):
+            return [lo, hi], [(M.path, *q_obs.coefficients())]
 
         monkeypatch.setattr(parametric, "_optimal_at", cutting)
         monkeypatch.setattr(parametric, "_table_envelope", hull_only)
