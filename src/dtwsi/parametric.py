@@ -172,7 +172,7 @@ def quadratic_loss(M: AlignmentMatrix, line: DataLine) -> QuadraticLoss:
     the incremental table recursion agree bit for bit.
     """
     _check_split(M, line)
-    return _path_loss(M.path, cell_terms(line))
+    return QuadraticLoss(*_path_loss(M.path, cell_terms(line)))
 
 
 def _check_split(M: AlignmentMatrix, line: DataLine) -> None:
@@ -182,8 +182,11 @@ def _check_split(M: AlignmentMatrix, line: DataLine) -> None:
         )
 
 
-def _path_loss(path, terms) -> QuadraticLoss:
-    """Sum of the ``cell_terms`` tables ``terms`` along a 1-based path, in path order."""
+def _path_loss(path, terms) -> tuple[float, float, float]:
+    """Loss triple ``(w0, w1, w2)`` of a 1-based path: ``w0 + w1 z + w2 z^2``.
+
+    The ``cell_terms`` tables ``terms`` summed along the path, in path order.
+    """
     m = terms[0].shape[1]
     cells = np.array([i * m + j for i, j in path]) - (m + 1)  # flat 0-based indices
     w0 = w1 = w2 = 0.0
@@ -191,13 +194,13 @@ def _path_loss(path, terms) -> QuadraticLoss:
         w0 += t0
         w1 += t1
         w2 += t2
-    return QuadraticLoss(w0, w1, w2)
+    return w0, w1, w2
 
 
 def _optimal_at(
     line: DataLine, z: float, terms
-) -> tuple[tuple[tuple[int, int], ...], QuadraticLoss]:
-    """A path optimal at ``z`` (Bellman on the series at ``z``) and its loss quadratic.
+) -> tuple[tuple[tuple[int, int], ...], tuple[float, float, float]]:
+    """A path optimal at ``z`` (Bellman on the series at ``z``) and its loss triple.
 
     ``terms`` are the line's ``cell_terms``.  Any path's loss bounds the
     envelope from above everywhere, so ``si_dtw_region``'s witness probes
@@ -248,11 +251,16 @@ def _walk_envelope(
     touches the other just inside the window, or a cell cost vanishes at
     ``lo``), so a wrong pick would never be corrected.  The walk from
     ``-inf`` alone would be correct for every window, but the start at
-    ``lo`` skips the crossings left of the window; without it the
-    benchmark's ``single-pair`` throughput drops by about a quarter.
+    ``lo`` skips the crossings left of the window.  Without it, on the
+    benchmark's seed-3 pairs, results stay hex-identical and a pair takes
+    about 8% longer on ``single-pair`` and 6% longer on ``sim-batch`` (both
+    versions timed pair by pair in turn, 6 passes, on a 2-core Xeon VM;
+    per-pass ratios 1.07-1.10 and 1.04-1.07).
 
     A lone candidate, or a walk whose active candidate is not crossed before
     ``hi``, returns its one segment at once: there is nothing to merge.
+    Without these two exits a pair takes about 4% longer on ``single-pair``
+    and 2% longer on ``sim-batch``, timed the same way.
     """
     K = len(cands)
     if K == 1:
@@ -372,8 +380,7 @@ def envelope_bruteforce(candidates, line: DataLine) -> PiecewiseEnvelope:
     cands = []
     for M in candidates:
         _check_split(M, line)
-        q = _path_loss(M.path, terms)
-        cands.append((M.path, q.w0, q.w1, q.w2))
+        cands.append((M.path, *_path_loss(M.path, terms)))
     bps, order = _walk_envelope(cands)
     return _envelope(bps, [cands[k] for k in order], line.n, line.m)
 
@@ -449,19 +456,21 @@ def _unusable_cells(line: DataLine, lo: float, hi: float, known) -> np.ndarray:
     sub-window is closed-form.  Forward and backward Bellman tables ``F_s``
     and ``B_s`` of those least values make ``F_s + B_s - L_s`` a lower bound,
     at every ``z`` in the sub-window, on the loss of any path through the
-    cell.  Every loss in ``known`` is a path's, so it bounds the optimal loss
-    from above; it is convex, so on the sub-window it is at most its larger
-    end value, and ``cap_s``, the least of those over ``known``, caps the
-    optimal loss there.  A cell whose bound exceeds ``cap_s`` (beyond
-    ``TIE_BAND``, for roundoff) on every sub-window therefore
-    carries no path that is optimal anywhere in the window.  A NaN bound
-    or cap rules nothing out.  On an infinite window no cell is unusable.
-    ``known`` must not be empty on a finite one.  Returns an ``n x m``
-    boolean table.  Only ``si_dtw_region`` runs it; ``para_dtw`` skips none.
+    cell.  Every ``(w0, w1, w2)`` loss triple in ``known`` is a path's, so it
+    bounds the optimal loss from above; it is convex, so on the sub-window it
+    is at most its larger end value, and ``cap_s``, the least of those over
+    ``known``, caps the optimal loss there.  A cell whose bound exceeds
+    ``cap_s`` (beyond ``TIE_BAND``, for roundoff) on every sub-window
+    therefore carries no path that is optimal anywhere in the window.  A NaN
+    bound or cap rules nothing out.  On an infinite window no cell is
+    unusable.  ``known`` must not be empty on a finite one.  Returns an
+    ``n x m`` boolean table.  Only ``si_dtw_region`` runs it; ``para_dtw``
+    skips none.
 
-    All ``2 * SUB_WINDOWS`` tables come from one ``bellman_tables`` call:
-    the forward ones on the least costs, the backward ones on the same
-    costs with both axes reversed.
+    All ``2 * SUB_WINDOWS`` tables come from one ``bellman_tables`` call on
+    the least costs stacked on the last axis, the wavefront's layout: the
+    forward ones on the least costs, the backward ones on the same costs
+    with both grid axes reversed.
     """
     n, m = line.n, line.m
     if not (math.isfinite(lo) and math.isfinite(hi)):
@@ -471,37 +480,29 @@ def _unusable_cells(line: DataLine, lo: float, hi: float, known) -> np.ndarray:
         # convex combinations stay finite on any finite window; 0 and 1 give lo and hi
         t = np.arange(SUB_WINDOWS + 1) / SUB_WINDOWS
         edges = np.clip(lo * (1.0 - t) + hi * t, lo, hi)
-        w0, w1, w2 = np.array([q.coefficients() for q in known]).T[:, :, None]
+        w0, w1, w2 = np.array(known).T[:, :, None]
         ends = (w2 * edges + w1) * edges + w0
         cap = np.maximum(ends[:, :-1], ends[:, 1:]).min(axis=0)
         least = _least_costs(line, edges)
-        # the wavefront's costs: per cell, the forward rows, then the reversed grid's
-        costs = np.empty((n, m, 2 * SUB_WINDOWS))
-        costs[:, :, :SUB_WINDOWS] = least.transpose(1, 2, 0)
-        costs[:, :, SUB_WINDOWS:] = least[:, ::-1, ::-1].transpose(1, 2, 0)
-        tables = bellman_tables(costs)
-        ahead = tables[:, :, :SUB_WINDOWS]
-        behind = tables[::-1, ::-1, SUB_WINDOWS:]
-        bound = np.empty_like(least)
-        np.add(ahead, behind, out=bound.transpose(1, 2, 0))
-        bound -= least
-        return (bound > (cap + TIE_BAND * (1.0 + cap))[:, None, None]).all(axis=0)
+        tables = bellman_tables(np.concatenate([least, least[::-1, ::-1]], axis=2))
+        bound = tables[:, :, :SUB_WINDOWS] + tables[::-1, ::-1, SUB_WINDOWS:] - least
+        return (bound > cap + TIE_BAND * (1.0 + cap)).all(axis=2)
 
 
 def _least_costs(line: DataLine, edges: np.ndarray) -> np.ndarray:
-    """Each cell's least cost on each sub-window, as a ``SUB_WINDOWS x n x m`` array.
+    """Each cell's least cost on each sub-window, as an ``n x m x SUB_WINDOWS`` array.
 
-    Entry ``[s, i, j]`` is the least of ``(da + db z)^2`` over ``z`` between
+    Entry ``[i, j, s]`` is the least of ``(da + db z)^2`` over ``z`` between
     ``edges[s]`` and ``edges[s + 1]`` for cell ``(i, j)``: zero where
     ``da + db z`` changes sign, else the square at the end nearer zero.
     Never NaN, so the wavefront's tables are the scalar ones.
     """
     da = np.subtract.outer(line.a1, line.a2)
     db = np.subtract.outer(line.b1, line.b2)
-    at = da + db * edges[:, None, None]
+    at = da[:, :, None] + db[:, :, None] * edges
     square = at * at
-    least = np.minimum(square[:-1], square[1:])
-    least[~(at[:-1] * at[1:] > 0.0)] = 0.0  # a NaN product rules nothing out either
+    least = np.minimum(square[:, :, :-1], square[:, :, 1:])
+    least[~(at[:, :, :-1] * at[:, :, 1:] > 0.0)] = 0.0  # a NaN product rules nothing out either
     return least
 
 
@@ -554,10 +555,10 @@ def si_dtw_region(
         return window
     (bounds,) = window.intervals
     terms = cell_terms(line)
-    q_obs = _path_loss(M_obs.path, terms)
-    slack = WITNESS_SLACK * (1.0 + q_obs(t_obs))
+    w_obs = o0, o1, o2 = _path_loss(M_obs.path, terms)
+    slack = WITNESS_SLACK * (1.0 + (o2 * t_obs + o1) * t_obs + o0)
     lo, hi = bounds
-    known = [q_obs]
+    known = [w_obs]
     reach_lo, reach_hi = t_obs - WITNESS_REACH, t_obs + WITNESS_REACH
     sides = [1.0, -1.0]  # +1 probes up from the lower end, -1 down from the upper
     for _ in range(WITNESS_GRID):
@@ -569,11 +570,11 @@ def si_dtw_region(
         t = first + step if side > 0 else last - step
         if not lo < t < hi:
             continue
-        path, q = _optimal_at(line, t, terms)
+        path, w = _optimal_at(line, t, terms)
         if path == M_obs.path:
             continue
-        known.append(q)
-        cut = solve_quadratic_leq(q_obs.w2 - q.w2, q_obs.w1 - q.w1, q_obs.w0 - q.w0 - slack)
+        known.append(w)
+        cut = solve_quadratic_leq(o2 - w[2], o1 - w[1], o0 - w[0] - slack)
         kept = IntervalUnion([(lo, hi)]).intersect(cut)
         if kept.is_empty:
             return kept
@@ -583,7 +584,6 @@ def si_dtw_region(
         if not lo <= t <= hi:
             sides.append(side)
     bps, segments = _table_envelope(line, lo, hi, terms, ~_unusable_cells(line, lo, hi, known))
-    w_obs = q_obs.coefficients()
     pieces = zip(bps, bps[1:], segments)
     return IntervalUnion((a, b) for a, b, (_, *w) in pieces if _same_loss(w, w_obs))
 

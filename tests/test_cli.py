@@ -12,7 +12,7 @@ import pytest
 
 import dtwsi
 from dtwsi.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
-from dtwsi.harness import ExperimentConfig
+from dtwsi.harness import EXACT_METHODS, ExperimentConfig, generate_pair
 
 SRC = str(Path(dtwsi.__file__).resolve().parents[1])
 
@@ -38,7 +38,7 @@ class TestTestCommand:
         assert record["ci"][0] < record["ci"][1]
         assert record["alignment"][0] == [1, 1]
         lo, hi = record["region"][0]
-        assert lo == "-inf" or isinstance(lo, float)
+        assert isinstance(lo, float)
 
     def test_infinite_region_end_is_a_string(self, tmp_path, capsys):
         # strict JSON has no Infinity literal
@@ -53,6 +53,27 @@ class TestTestCommand:
         record = json.loads(capsys.readouterr().out, parse_constant=refuse)
         ((lo, hi),) = record["region"]
         assert lo == 0.0 and hi == "inf"
+
+    @pytest.mark.parametrize("method", sorted(EXACT_METHODS))
+    def test_region_lower_ends_are_finite(self, method):
+        # Every region lies inside the sign-preserving window, whose lower end
+        # is the largest -nu1/nu2 over path cells with nu2 > 0; the nu2 sum to
+        # eta.b = 1, so that end is finite and the record needs no "-inf".
+        rng = np.random.default_rng(31)
+        checked = 0
+        for k in range(200):
+            n, m = (int(v) for v in rng.integers(2, 13, size=2))
+            config = ExperimentConfig(
+                n=n, m=m, delta=(0.0, 1.5)[k % 2],
+                covariance=("independence", "ar-correlation")[k // 2 % 2], seed=31,
+            )
+            try:
+                result = EXACT_METHODS[method](generate_pair(config, k))
+            except ArithmeticError:
+                continue
+            assert all(lo > float("-inf") for lo, _ in result.region), (k, result.region)
+            checked += 1
+        assert checked >= 190
 
     def test_over_conditioned_method(self, series_files, capsys):
         fa, fb = series_files

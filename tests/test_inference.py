@@ -262,6 +262,11 @@ class TestTruncatedGaussianSf:
             with pytest.raises(RegionMassUnderflowError, match="no representable mass"):
                 truncated_gaussian_sf(1.5e200, 1.0, IntervalUnion([far]))
             assert truncated_gaussian_sf(1.5e200, 1.0, IntervalUnion([(-1.0, 1.0), far])) == 0.0
+            # several such pieces: the log-sum-exp has no finite term
+            pieces = IntervalUnion([far, (3e200, 4e200)])
+            assert inference._log_mass(pieces.intervals, 0.0, 1.0) == -INF
+            with pytest.raises(RegionMassUnderflowError, match="no representable mass"):
+                truncated_gaussian_sf(1.5e200, 1.0, pieces)
 
     def test_preconditions(self):
         with pytest.raises(ValueError):

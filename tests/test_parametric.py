@@ -588,12 +588,13 @@ class TestCellBound:
             assert len(walked) == 4 * 5, window
 
     def test_selective_p_value_builds_no_envelope_objects(self, monkeypatch):
-        # the region builder reads segments as loss coefficients
+        # the region builder reads segments, and keeps every loss, as loss triples
         def fail(*args):
             raise AssertionError("the region builder built an envelope object")
 
         monkeypatch.setattr(parametric, "AlignmentMatrix", fail)
         monkeypatch.setattr(parametric, "PiecewiseEnvelope", fail)
+        monkeypatch.setattr(parametric, "QuadraticLoss", fail)
         tables = record_tables(monkeypatch)
         for k in range(4):
             pair = generate_pair(ExperimentConfig(n=12, m=12, delta=(0.0, 1.5)[k % 2], seed=4), k)
@@ -869,8 +870,7 @@ class TestWitnessProbes:
             # q_obs - q = side (t - z) + 0.01: the cut removes everything from
             # the probe's end of the window to 0.01 past the probe
             side = 1.0 if t < t_obs else -1.0
-            q = QuadraticLoss(q_obs.w0 - side * t - 0.01, q_obs.w1 + side, q_obs.w2)
-            return ((0, 0),), q
+            return ((0, 0),), (q_obs.w0 - side * t - 0.01, q_obs.w1 + side, q_obs.w2)
 
         def hull_only(line, lo, hi, terms, usable):
             return [lo, hi], [(M.path, *q_obs.coefficients())]
@@ -897,9 +897,33 @@ class TestWitnessProbes:
         slack = parametric.WITNESS_SLACK * (1.0 + q_obs(t_obs))
         solves = record_solves(monkeypatch)
         parametric.si_dtw_region(line, M, window, t_obs)
-        kept = [t for t, path, q in solves if path != M.path and q_obs(t) - q(t) <= slack]
+        kept = [
+            t for t, path, (w0, w1, w2) in solves
+            if path != M.path and q_obs(t) - ((w2 * t + w1) * t + w0) <= slack
+        ]
         assert kept
         assert len(solves) <= 6
+
+    def test_cut_that_empties_the_hull_ends_the_region(self, monkeypatch):
+        # a witness below M_obs's loss everywhere cuts the whole hull away:
+        # the region is empty and no table is walked
+        pair = TimeSeriesPair(*np.random.default_rng(7).normal(size=(2, 12)))
+        line, M, window, t_obs = builder_inputs(pair)
+        q_obs = quadratic_loss(M, line)
+        probes = []
+
+        def below(line, t, terms):
+            probes.append(t)
+            return ((0, 0),), (q_obs.w0 - 1.0, q_obs.w1, q_obs.w2)
+
+        def fail(*args):
+            raise AssertionError("the region builder walked a table after an empty cut")
+
+        monkeypatch.setattr(parametric, "_optimal_at", below)
+        monkeypatch.setattr(parametric, "_table_envelope", fail)
+        region = parametric.si_dtw_region(line, M, window, t_obs)
+        assert region.is_empty
+        assert len(probes) == 1
 
 
 class TestZ1Region:
