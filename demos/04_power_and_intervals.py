@@ -19,6 +19,8 @@ for delta in (2.0, 3.0, 4.0, 5.0):
     cfg = ExperimentConfig(n=8, m=8, delta=delta, trials=TRIALS, seed=23)
     report = run_ci(cfg)  # paired: both methods see identical data
     si = report.results["si-dtw"]
+    # ms/trial prices a standalone si-dtw test: the pair's conditioning, which
+    # run_ci shares with si-dtw-oc, plus si-dtw's own region, tail and interval
     oc = report.results["si-dtw-oc"]
     print(
         f"{delta:5.1f} {si.rejection_rate:7.3f} {oc.rejection_rate:7.3f} "

@@ -84,9 +84,14 @@ def si_dtw_oc_region(pair: TimeSeriesPair, line: DataLine) -> IntervalUnion:
     return solve_quadratic_system(si_dtw_oc_constraints(pair, line))
 
 
+def _si_dtw_oc_builder(pair: TimeSeriesPair):
+    """``pair``'s over-conditioned region as a builder for ``inference.conditional_test``."""
+    return lambda line, *_: si_dtw_oc_region(pair, line)
+
+
 def si_dtw_oc_p_value(pair: TimeSeriesPair) -> InferenceResult:
     """Conditional p-value under the fully conditioned (per-cell) selection event."""
-    return conditional_test(pair, lambda line, *_: si_dtw_oc_region(pair, line))
+    return conditional_test(pair, _si_dtw_oc_builder(pair))
 
 
 def permutation_test(pair: TimeSeriesPair, B: int, seed: int) -> float:

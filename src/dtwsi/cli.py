@@ -100,7 +100,7 @@ def _cmd_test(args) -> int:
     pair = load_ucr_pair(
         args.path_a, args.path_b, args.row_a, args.row_b, variance_mode=args.variance
     )
-    result = EXACT_METHODS[args.method](pair)
+    result = conditional_test(pair, EXACT_METHODS[args.method](pair))
     ci = selective_confidence_interval(pair, args.alpha, result=result)
 
     def finite(x):

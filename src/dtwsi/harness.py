@@ -18,9 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .baselines import data_splitting_test, permutation_test, si_dtw_oc_p_value
-from .dtw_core import TimeSeriesPair, sign_vector, test_direction
-from .inference import InferenceResult, selective_p_value, truncated_gaussian_ci
+from .baselines import _si_dtw_oc_builder, data_splitting_test, permutation_test
+from .dtw_core import TimeSeriesPair
+from .inference import _condition, _finish, truncated_gaussian_ci
+from .parametric import si_dtw_region
 
 __all__ = [
     "UcrFormatError",
@@ -38,8 +39,10 @@ __all__ = [
     "parse_config_file",
 ]
 
-# The conditional tests, by method name; each returns an InferenceResult.
-EXACT_METHODS = {"si-dtw": selective_p_value, "si-dtw-oc": si_dtw_oc_p_value}
+# The conditional tests, by method name: each gives, for a pair, the region
+# builder that ``inference.conditional_test`` takes, the only step in which
+# they differ; ``conditional_test(pair, EXACT_METHODS[name](pair))`` runs one.
+EXACT_METHODS = {"si-dtw": lambda pair: si_dtw_region, "si-dtw-oc": _si_dtw_oc_builder}
 METHODS = (*EXACT_METHODS, "permutation", "data-split")
 COVARIANCES = ("independence", "ar-correlation")
 NOISES = ("gaussian", "laplace", "skew-normal-10", "student-t-20")
@@ -91,7 +94,13 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MethodResult:
-    """Per-method outcome of a batch: p-values, timings, optional intervals."""
+    """Per-method outcome of a batch: p-values, timings, optional intervals.
+
+    ``seconds`` holds each trial's time for the method.  For an exact method
+    that is the pair's conditioning, which the batch runs once and shares
+    between its exact methods, plus the method's own region, tail and
+    interval: what a standalone test of the pair would take.
+    """
 
     method: str
     p_values: tuple[float, ...]
@@ -203,36 +212,48 @@ def _permutation_seed(config: ExperimentConfig, trial_index: int) -> int:
     return int(np.random.SeedSequence([config.seed, trial_index, 2]).generate_state(1)[0])
 
 
-def _true_statistic_mean(config: ExperimentConfig, result: InferenceResult, pair: TimeSeriesPair) -> float:
-    """Mean of the selected statistic under the generating model."""
-    direction = test_direction(result.alignment, sign_vector(result.alignment, pair))
+def _true_statistic_mean(config: ExperimentConfig, eta: np.ndarray) -> float:
+    """Mean of the selected statistic, direction ``eta``, under the generating model."""
     mu = np.concatenate([np.zeros(config.n), np.full(config.m, config.delta)])
-    return float(direction.eta @ mu)
+    return float(eta @ mu)
 
 
 def _run_batch(config: ExperimentConfig, methods: tuple[str, ...], with_ci: bool) -> ExperimentReport:
+    """Run ``methods`` on each trial's pair, in order.
+
+    The exact methods share one conditioning of the pair (alignment, data
+    line, sign window and, with intervals, the statistic's true mean); each
+    then finishes its own region, tail and interval.  An exact method's
+    ``seconds`` is the shared conditioning time plus its own finish.
+    """
     collect = {
         name: {"p": [], "sec": [], "len": [], "cov": []} for name in methods
     }
+    exact = any(name in EXACT_METHODS for name in methods)
     for t in range(config.trials):
         pair = generate_pair(config, t)
+        if exact:
+            start = time.perf_counter()
+            cond = _condition(pair)
+            theta = _true_statistic_mean(config, cond.eta) if with_ci else None
+            shared = time.perf_counter() - start
         for name in methods:
             start = time.perf_counter()
             if name in EXACT_METHODS:
-                result = EXACT_METHODS[name](pair)
+                result = _finish(cond, EXACT_METHODS[name](pair))
                 p = result.p_selective
                 if with_ci:
                     lo, hi = truncated_gaussian_ci(
                         result.z_obs, result.sigma, result.region, config.alpha
                     )
-                    theta = _true_statistic_mean(config, result, pair)
                     collect[name]["len"].append(hi - lo)
                     collect[name]["cov"].append(bool(lo <= theta <= hi))
             elif name == "permutation":
                 p = permutation_test(pair, config.B, _permutation_seed(config, t))
             else:
                 p = data_splitting_test(pair)
-            collect[name]["sec"].append(time.perf_counter() - start)
+            took = time.perf_counter() - start
+            collect[name]["sec"].append(took + shared if name in EXACT_METHODS else took)
             collect[name]["p"].append(p)
     results = {}
     for name in methods:
@@ -254,7 +275,12 @@ def run_fpr(config: ExperimentConfig) -> ExperimentReport:
 
 
 def run_ci(config: ExperimentConfig) -> ExperimentReport:
-    """Paired confidence-interval batch for both exact methods on identical data."""
+    """Paired confidence-interval batch for both exact methods on identical data.
+
+    Each trial's pair is conditioned once and both methods finish on it, si-dtw
+    first.  Each method's ``seconds`` is that conditioning plus the method's
+    own region, tail and interval, so it still prices a standalone test.
+    """
     return _run_batch(config, tuple(EXACT_METHODS), with_ci=True)
 
 

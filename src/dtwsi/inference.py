@@ -47,6 +47,11 @@ __all__ = [
 ]
 
 
+# A selection-region builder: ``(line, M_obs, window, t_obs) -> region``,
+# as ``conditional_test`` describes.
+_RegionBuilder = Callable[[DataLine, AlignmentMatrix, IntervalUnion, float], IntervalUnion]
+
+
 def _membership_tol(sigma: float, z_obs: float) -> float:
     """Endpoint slack when checking that ``z_obs`` lies in its truncation region."""
     return 1e-8 * max(sigma, abs(z_obs))
@@ -271,25 +276,28 @@ def truncated_gaussian_ci(
     return solve(alpha / 2.0), solve(1.0 - alpha / 2.0)
 
 
-def conditional_test(
-    pair: TimeSeriesPair,
-    selection_region: Callable[[DataLine, AlignmentMatrix, IntervalUnion, float], IntervalUnion],
-) -> InferenceResult:
-    """Conditional p-value for the optimal-alignment statistic of ``pair``.
+@dataclass(frozen=True)
+class _Conditioning:
+    """What conditioning on the selected alignment and its signs fixes for one pair.
 
-    Pipeline: solve the alignment, build the statistic direction, decompose
-    out the nuisance to obtain the data line, intersect the selection region
-    with the sign-preserving window, and evaluate the truncated-Gaussian tail.
-
-    ``selection_region(line, M_obs, window, t_obs)`` returns the line
-    parameters at which the selection event conditioned on holds; it is the
-    only step in which the exact methods differ (``parametric.si_dtw_region``
-    and ``baselines.si_dtw_oc_region``).  ``line`` is the data line
-    in sigma units (see below), ``t_obs`` the observed statistic in those
-    units, and ``window`` the sign-preserving region on the line, computed
-    first: the result is intersected with it, so a builder need only be
-    exact inside it.  A builder that needs more of the data closes over it.
+    The same for every exact method, so a pair is conditioned once and each
+    method's region is finished on this record (``_finish``).  ``eta`` is the
+    test direction, ``z_obs`` the statistic and ``sigma`` its null standard
+    deviation; ``line`` is the data line in units of ``scale``, the power of
+    two ``_unit_scale(sigma)``, and ``window`` the sign-preserving region on it.
     """
+
+    alignment: AlignmentMatrix
+    eta: np.ndarray
+    z_obs: float
+    sigma: float
+    scale: float
+    line: DataLine
+    window: IntervalUnion
+
+
+def _condition(pair: TimeSeriesPair) -> _Conditioning:
+    """Solve the alignment and fix the direction, data line and sign window of ``pair``."""
     M_obs, _ = dtw(pair)
     s_obs = sign_vector(M_obs, pair)
     direction = test_direction(M_obs, s_obs)
@@ -301,7 +309,14 @@ def conditional_test(
     scale = _unit_scale(sigma)
     unit = DataLine(line.a / scale, line.b, pair.n)
     window = z2_region(unit, M_obs, s_obs)
-    region = selection_region(unit, M_obs, window, z_obs / scale).intersect(window)
+    return _Conditioning(M_obs, direction.eta, z_obs, sigma, scale, unit, window)
+
+
+def _finish(cond: _Conditioning, selection_region: _RegionBuilder) -> InferenceResult:
+    """One exact method's test on a conditioned pair: its region ∩ the window, then the tail."""
+    z_obs, sigma, scale = cond.z_obs, cond.sigma, cond.scale
+    region = selection_region(cond.line, cond.alignment, cond.window, z_obs / scale)
+    region = region.intersect(cond.window)
     region = IntervalUnion((lo * scale, hi * scale) for lo, hi in region)
     if not region.contains(z_obs, tol=_membership_tol(sigma, z_obs)):
         raise SelectionEventError(
@@ -309,7 +324,30 @@ def conditional_test(
             "sit on a tie of the selection event, which has zero width there"
         )
     p = truncated_gaussian_sf(z_obs, sigma, region)
-    return InferenceResult(z_obs=z_obs, sigma=sigma, region=region, p_selective=p, alignment=M_obs)
+    return InferenceResult(
+        z_obs=z_obs, sigma=sigma, region=region, p_selective=p, alignment=cond.alignment
+    )
+
+
+def conditional_test(pair: TimeSeriesPair, selection_region: _RegionBuilder) -> InferenceResult:
+    """Conditional p-value for the optimal-alignment statistic of ``pair``.
+
+    Pipeline: solve the alignment, build the statistic direction, decompose
+    out the nuisance to obtain the data line, intersect the selection region
+    with the sign-preserving window, and evaluate the truncated-Gaussian tail.
+    Everything up to the window is the conditioning, which depends on the pair
+    alone; ``harness.run_ci`` runs it once and finishes both exact methods on it.
+
+    ``selection_region(line, M_obs, window, t_obs)`` returns the line
+    parameters at which the selection event conditioned on holds; it is the
+    only step in which the exact methods differ (``parametric.si_dtw_region``
+    and ``baselines.si_dtw_oc_region``).  ``line`` is the data line in
+    sigma units (see ``_condition``), ``t_obs`` the observed statistic in
+    those units, and ``window`` the sign-preserving region on the line, computed
+    first: the result is intersected with it, so a builder need only be
+    exact inside it.  A builder that needs more of the data closes over it.
+    """
+    return _finish(_condition(pair), selection_region)
 
 
 def _unit_scale(sigma: float) -> float:

@@ -13,6 +13,7 @@ import pytest
 import dtwsi
 from dtwsi.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 from dtwsi.harness import EXACT_METHODS, ExperimentConfig, generate_pair
+from dtwsi.inference import conditional_test
 
 SRC = str(Path(dtwsi.__file__).resolve().parents[1])
 
@@ -68,7 +69,8 @@ class TestTestCommand:
                 covariance=("independence", "ar-correlation")[k // 2 % 2], seed=31,
             )
             try:
-                result = EXACT_METHODS[method](generate_pair(config, k))
+                pair = generate_pair(config, k)
+                result = conditional_test(pair, EXACT_METHODS[method](pair))
             except ArithmeticError:
                 continue
             assert all(lo > float("-inf") for lo, _ in result.region), (k, result.region)

@@ -7,7 +7,10 @@ import math
 import numpy as np
 import pytest
 
-from dtwsi.baselines import permutation_test
+from dtwsi import baselines, harness, inference
+from dtwsi.baselines import permutation_test, si_dtw_oc_p_value
+from dtwsi.dtw_core import TimeSeriesPair, sign_vector
+from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.harness import (
     COVARIANCES,
     EXACT_METHODS,
@@ -148,8 +151,10 @@ class TestRunners:
         # own on each generated pair, whatever the shift
         for delta in (0.0, 2.0):
             cfg = ExperimentConfig(method="si-dtw", n=4, m=4, delta=delta, trials=10, seed=8)
+            pairs = [generate_pair(cfg, t) for t in range(10)]
             want = tuple(
-                EXACT_METHODS["si-dtw"](generate_pair(cfg, t)).p_selective for t in range(10)
+                inference.conditional_test(pair, EXACT_METHODS["si-dtw"](pair)).p_selective
+                for pair in pairs
             )
             assert run_fpr(cfg).results["si-dtw"].p_values == want
 
@@ -184,6 +189,90 @@ class TestRunners:
             assert all(length > 0 for length in res.ci_lengths)
             assert res.coverage_rate is not None
             assert res.median_ci_length is not None
+
+
+# The one-pair entry points that run_ci's shared conditioning must reproduce.
+STANDALONE = {"si-dtw": inference.selective_p_value, "si-dtw-oc": si_dtw_oc_p_value}
+
+
+def _standalone_trial(config, pair, name):
+    """A method's p-value, interval length and coverage, each test run on its own."""
+    result = STANDALONE[name](pair)
+    lo, hi = inference.truncated_gaussian_ci(result.z_obs, result.sigma, result.region, config.alpha)
+    eta = direction_of(result.alignment, sign_vector(result.alignment, pair)).eta
+    theta = float(eta @ np.concatenate([np.zeros(config.n), np.full(config.m, config.delta)]))
+    return result.p_selective, hi - lo, bool(lo <= theta <= hi)
+
+
+class TestSharedConditioning:
+    """run_ci conditions each pair once and finishes both exact methods on it."""
+
+    @pytest.mark.parametrize("delta", [0.0, 2.0])
+    def test_matches_standalone_methods(self, delta):
+        cfg = ExperimentConfig(
+            n=10, m=10, delta=delta, covariance="ar-correlation", trials=100, seed=21
+        )
+        rep = run_ci(cfg)
+        for name, res in rep.results.items():
+            assert all(sec > 0.0 for sec in res.seconds)
+            for t in range(cfg.trials):
+                p, length, covered = _standalone_trial(cfg, generate_pair(cfg, t), name)
+                got = (res.p_values[t].hex(), res.ci_lengths[t].hex(), res.ci_covered[t])
+                assert got == (p.hex(), length.hex(), covered), (name, t)
+
+    @pytest.mark.parametrize(
+        "trial, raises",
+        [
+            (2, "si-dtw-oc"),  # si-dtw-oc's region misses z_obs, after si-dtw has finished
+            (0, "si-dtw"),  # si-dtw's region misses z_obs
+            (5, "si-dtw"),  # si-dtw's interval has no bound: z_obs ends its region
+        ],
+    )
+    def test_raises_as_the_standalone_sequence(self, monkeypatch, trial, raises):
+        cfg = ExperimentConfig(n=10, m=10, covariance="ar-correlation", trials=1, seed=5)
+        drawn = generate_pair(cfg, trial)
+        pair = TimeSeriesPair(np.round(drawn.x), np.round(drawn.y), drawn.sigma_x, drawn.sigma_y)
+        events = []
+        with pytest.raises(ArithmeticError) as standalone:
+            for name in ("si-dtw", "si-dtw-oc"):
+                events.append(name)
+                _standalone_trial(cfg, pair, name)
+        assert events[-1] == raises
+
+        ci, oc_region = harness.truncated_gaussian_ci, baselines.si_dtw_oc_region
+        order = []
+        monkeypatch.setattr(harness, "generate_pair", lambda config, t: pair)
+        monkeypatch.setattr(
+            harness, "truncated_gaussian_ci", lambda *a: order.append("interval") or ci(*a)
+        )
+        monkeypatch.setattr(
+            baselines, "si_dtw_oc_region", lambda *a: order.append("oc region") or oc_region(*a)
+        )
+        with pytest.raises(ArithmeticError) as batched:
+            run_ci(cfg)
+        assert type(batched.value) is type(standalone.value)
+        assert str(batched.value) == str(standalone.value)
+        if raises == "si-dtw-oc":
+            assert order == ["interval", "oc region"]
+        else:
+            assert "oc region" not in order
+
+    @pytest.mark.parametrize("runner", ["ci", "si-dtw", "si-dtw-oc"])
+    def test_conditions_each_trial_once(self, monkeypatch, runner):
+        calls = {"dtw": 0, "nuisance_decomposition": 0, "z2_region": 0}
+        for fn in calls:
+            wrapped = getattr(inference, fn)
+
+            def counting(*args, _fn=fn, _wrapped=wrapped):
+                calls[_fn] += 1
+                return _wrapped(*args)
+
+            monkeypatch.setattr(inference, fn, counting)
+        method = "si-dtw" if runner == "ci" else runner
+        cfg = ExperimentConfig(method=method, n=6, m=6, delta=1.0, trials=7, seed=4)
+        rep = run_ci(cfg) if runner == "ci" else run_fpr(cfg)
+        assert all(len(res.p_values) == cfg.trials for res in rep.results.values())
+        assert calls == dict.fromkeys(calls, cfg.trials)
 
 
 class TestUcrLoader:
