@@ -22,7 +22,7 @@ from .dtw_core import (
     bellman_predecessor,
     cost_matrix,
 )
-from .inference import InferenceResult, conditional_test
+from .inference import InferenceResult, _Conditioning, conditional_test
 from .intervals import IntervalUnion, solve_quadratic_system
 from .parametric import DataLine, cell_terms
 
@@ -42,18 +42,19 @@ __all__ = [
 PERMUTATION_CELL_BUDGET = 2**20
 
 
-def si_dtw_oc_constraints(pair: TimeSeriesPair, line: DataLine) -> np.ndarray:
+def si_dtw_oc_constraints(table: list[list[float]], line: DataLine) -> np.ndarray:
     """Per-cell quadratic constraints of the fully conditioned selection event.
 
-    For every interior cell, the observed predecessor must beat the other two;
+    ``table`` is the pair's ``n x m`` Bellman table (``accumulated_cost`` of
+    its ``cost_matrix``), which fixes every cell's observed predecessor.  For
+    every interior cell, the observed predecessor must beat the other two;
     the shared cell cost cancels, leaving the difference of the two observed
     sub-path losses along the line.  Returned as a ``(k, 3)`` array of rows
     ``(alpha, beta, gamma)`` with the convention ``alpha z^2 + beta z + gamma
     <= 0``: cells in row-major order, and within a cell the two other
     predecessors in diagonal, vertical, horizontal order.
     """
-    n, m = pair.n, pair.m
-    table = accumulated_cost(cost_matrix(pair).tolist())
+    n, m = len(table), len(table[0])
     t0, t1, t2 = (t.ravel().tolist() for t in cell_terms(line))
     # per cell k = i * m + j: the loss quadratic (q0, q1, q2) of the observed
     # optimal sub-path, and the cell its Bellman predecessor
@@ -79,19 +80,22 @@ def si_dtw_oc_constraints(pair: TimeSeriesPair, line: DataLine) -> np.ndarray:
 def si_dtw_oc_region(pair: TimeSeriesPair, line: DataLine) -> IntervalUnion:
     """Line region where every alignment sub-problem keeps its observed optimizer.
 
-    Solves all per-cell constraints at once (``solve_quadratic_system``).
+    Solves the pair's Bellman table, then all per-cell constraints at once
+    (``solve_quadratic_system``).  The pipeline runs ``_si_dtw_oc``, which
+    reads the table that conditioning already solved.
     """
-    return solve_quadratic_system(si_dtw_oc_constraints(pair, line))
+    table = accumulated_cost(cost_matrix(pair).tolist())
+    return solve_quadratic_system(si_dtw_oc_constraints(table, line))
 
 
-def _si_dtw_oc_builder(pair: TimeSeriesPair):
-    """``pair``'s over-conditioned region as a builder for ``inference.conditional_test``."""
-    return lambda line, *_: si_dtw_oc_region(pair, line)
+def _si_dtw_oc(cond: _Conditioning) -> IntervalUnion:
+    """si-dtw-oc's region builder: the constraints of the record's Bellman table."""
+    return solve_quadratic_system(si_dtw_oc_constraints(cond.table, cond.line))
 
 
 def si_dtw_oc_p_value(pair: TimeSeriesPair) -> InferenceResult:
     """Conditional p-value under the fully conditioned (per-cell) selection event."""
-    return conditional_test(pair, _si_dtw_oc_builder(pair))
+    return conditional_test(pair, _si_dtw_oc)
 
 
 def permutation_test(pair: TimeSeriesPair, B: int, seed: int) -> float:

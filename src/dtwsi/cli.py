@@ -100,7 +100,7 @@ def _cmd_test(args) -> int:
     pair = load_ucr_pair(
         args.path_a, args.path_b, args.row_a, args.row_b, variance_mode=args.variance
     )
-    result = conditional_test(pair, EXACT_METHODS[args.method](pair))
+    result = conditional_test(pair, EXACT_METHODS[args.method])
     ci = selective_confidence_interval(pair, args.alpha, result=result)
 
     def finite(x):
@@ -227,7 +227,7 @@ def _cmd_oracle(args) -> int:
 
         fast = selective_p_value(pair)
         slow = conditional_test(
-            pair, lambda line, M, *_: z1_region(envelope_bruteforce(alignments, line), M)
+            pair, lambda cond: z1_region(envelope_bruteforce(alignments, cond.line), cond.alignment)
         )
         ok_p = abs(fast.p_selective - slow.p_selective) <= ORACLE_TOL
         ok_region = _same_pieces(fast.region, slow.region)

@@ -219,10 +219,10 @@ def accumulated_cost(cost: list[list[float]]) -> list[list[float]]:
 
     Entry ``(i, j)`` is the least summed cost of a warping path from cell
     ``(0, 0)`` to cell ``(i, j)``, both ends included.  The scalar Bellman
-    recursion, for single solves: ``bellman_path`` and the over-conditioned
-    constraints run it.  ``bellman_wavefront`` runs the same recursion on a
-    stack of cost matrices at once, for ``bellman_abs_sums`` and the
-    envelope's cell bound.
+    recursion, for single solves: ``bellman_path`` runs it, and hands its
+    table on to the over-conditioned constraints.  ``bellman_wavefront`` runs
+    the same recursion on a stack of cost matrices at once, for
+    ``bellman_abs_sums`` and the envelope's cell bound.
     """
     n, m = len(cost), len(cost[0])
     table = [[0.0] * m for _ in range(n)]
@@ -263,21 +263,24 @@ def bellman_predecessor(table: list[list[float]], i: int, j: int) -> tuple[int, 
     return i, j - 1
 
 
-def bellman_path(x: np.ndarray, y: np.ndarray) -> tuple[tuple[tuple[int, int], ...], float]:
-    """Optimal warping path of series ``x`` and ``y`` (1-based) and its squared cost.
+def bellman_path(
+    x: np.ndarray, y: np.ndarray
+) -> tuple[tuple[tuple[int, int], ...], list[list[float]]]:
+    """Optimal warping path of series ``x`` and ``y`` (1-based) and its Bellman table.
 
     The one two-series alignment solve; ties are broken by ``bellman_predecessor``.
+    The table is ``accumulated_cost`` of the squared differences, bit for bit
+    that of ``cost_matrix``; its last entry is the path's squared cost.
     """
     d = np.subtract.outer(x, y)
     table = accumulated_cost((d * d).tolist())
     i, j = d.shape[0] - 1, d.shape[1] - 1
-    cost = table[i][j]
     path = [(i + 1, j + 1)]
     while i > 0 or j > 0:
         i, j = bellman_predecessor(table, i, j)
         path.append((i + 1, j + 1))
     path.reverse()
-    return tuple(path), cost
+    return tuple(path), table
 
 
 def bellman_wavefront(cost, n: int, m: int, rows: int) -> np.ndarray:
@@ -423,8 +426,8 @@ def bellman_abs_sums(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 def dtw(pair: TimeSeriesPair) -> tuple[AlignmentMatrix, float]:
     """Optimal alignment and its total squared cost, by ``bellman_path``."""
-    path, cost = bellman_path(pair.x, pair.y)
-    return AlignmentMatrix(pair.n, pair.m, path), cost
+    path, table = bellman_path(pair.x, pair.y)
+    return AlignmentMatrix(pair.n, pair.m, path), table[-1][-1]
 
 
 def path_differences(M: AlignmentMatrix, v: np.ndarray) -> np.ndarray:

@@ -18,10 +18,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .baselines import _si_dtw_oc_builder, data_splitting_test, permutation_test
+from .baselines import _si_dtw_oc, data_splitting_test, permutation_test
 from .dtw_core import TimeSeriesPair
-from .inference import _condition, _finish, truncated_gaussian_ci
-from .parametric import si_dtw_region
+from .inference import _condition, _finish, _si_dtw, truncated_gaussian_ci
 
 __all__ = [
     "UcrFormatError",
@@ -39,10 +38,10 @@ __all__ = [
     "parse_config_file",
 ]
 
-# The conditional tests, by method name: each gives, for a pair, the region
-# builder that ``inference.conditional_test`` takes, the only step in which
-# they differ; ``conditional_test(pair, EXACT_METHODS[name](pair))`` runs one.
-EXACT_METHODS = {"si-dtw": lambda pair: si_dtw_region, "si-dtw-oc": _si_dtw_oc_builder}
+# The conditional tests, by method name: each maps to the region builder that
+# ``inference.conditional_test`` takes, the only step in which they differ;
+# ``conditional_test(pair, EXACT_METHODS[name])`` runs one.
+EXACT_METHODS = {"si-dtw": _si_dtw, "si-dtw-oc": _si_dtw_oc}
 METHODS = (*EXACT_METHODS, "permutation", "data-split")
 COVARIANCES = ("independence", "ar-correlation")
 NOISES = ("gaussian", "laplace", "skew-normal-10", "student-t-20")
@@ -240,7 +239,7 @@ def _run_batch(config: ExperimentConfig, methods: tuple[str, ...], with_ci: bool
         for name in methods:
             start = time.perf_counter()
             if name in EXACT_METHODS:
-                result = _finish(cond, EXACT_METHODS[name](pair))
+                result = _finish(cond, EXACT_METHODS[name])
                 p = result.p_selective
                 if with_ci:
                     lo, hi = truncated_gaussian_ci(

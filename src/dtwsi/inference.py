@@ -23,7 +23,7 @@ from .dtw_core import (
     AlignmentMatrix,
     TestDirection,
     TimeSeriesPair,
-    dtw,
+    bellman_path,
     path_differences,
     sign_vector,
     test_direction,
@@ -47,9 +47,9 @@ __all__ = [
 ]
 
 
-# A selection-region builder: ``(line, M_obs, window, t_obs) -> region``,
-# as ``conditional_test`` describes.
-_RegionBuilder = Callable[[DataLine, AlignmentMatrix, IntervalUnion, float], IntervalUnion]
+# A selection-region builder: ``conditioning record -> region``, as
+# ``conditional_test`` describes.
+_RegionBuilder = Callable[["_Conditioning"], IntervalUnion]
 
 
 def _membership_tol(sigma: float, z_obs: float) -> float:
@@ -281,13 +281,16 @@ class _Conditioning:
     """What conditioning on the selected alignment and its signs fixes for one pair.
 
     The same for every exact method, so a pair is conditioned once and each
-    method's region is finished on this record (``_finish``).  ``eta`` is the
-    test direction, ``z_obs`` the statistic and ``sigma`` its null standard
-    deviation; ``line`` is the data line in units of ``scale``, the power of
-    two ``_unit_scale(sigma)``, and ``window`` the sign-preserving region on it.
+    method's region builder is handed this record (``_finish``).  ``table`` is
+    the pair's Bellman table (``bellman_path``), from which ``alignment`` was
+    traced; ``eta`` is the test direction, ``z_obs`` the statistic and
+    ``sigma`` its null standard deviation; ``line`` is the data line in units
+    of ``scale``, the power of two ``_unit_scale(sigma)``, and ``window`` the
+    sign-preserving region on it.
     """
 
     alignment: AlignmentMatrix
+    table: list[list[float]]
     eta: np.ndarray
     z_obs: float
     sigma: float
@@ -298,7 +301,8 @@ class _Conditioning:
 
 def _condition(pair: TimeSeriesPair) -> _Conditioning:
     """Solve the alignment and fix the direction, data line and sign window of ``pair``."""
-    M_obs, _ = dtw(pair)
+    path, table = bellman_path(pair.x, pair.y)
+    M_obs = AlignmentMatrix(pair.n, pair.m, path)
     s_obs = sign_vector(M_obs, pair)
     direction = test_direction(M_obs, s_obs)
     z_obs = test_statistic(direction, pair)
@@ -309,14 +313,13 @@ def _condition(pair: TimeSeriesPair) -> _Conditioning:
     scale = _unit_scale(sigma)
     unit = DataLine(line.a / scale, line.b, pair.n)
     window = z2_region(unit, M_obs, s_obs)
-    return _Conditioning(M_obs, direction.eta, z_obs, sigma, scale, unit, window)
+    return _Conditioning(M_obs, table, direction.eta, z_obs, sigma, scale, unit, window)
 
 
 def _finish(cond: _Conditioning, selection_region: _RegionBuilder) -> InferenceResult:
     """One exact method's test on a conditioned pair: its region ∩ the window, then the tail."""
     z_obs, sigma, scale = cond.z_obs, cond.sigma, cond.scale
-    region = selection_region(cond.line, cond.alignment, cond.window, z_obs / scale)
-    region = region.intersect(cond.window)
+    region = selection_region(cond).intersect(cond.window)
     region = IntervalUnion((lo * scale, hi * scale) for lo, hi in region)
     if not region.contains(z_obs, tol=_membership_tol(sigma, z_obs)):
         raise SelectionEventError(
@@ -338,16 +341,22 @@ def conditional_test(pair: TimeSeriesPair, selection_region: _RegionBuilder) -> 
     Everything up to the window is the conditioning, which depends on the pair
     alone; ``harness.run_ci`` runs it once and finishes both exact methods on it.
 
-    ``selection_region(line, M_obs, window, t_obs)`` returns the line
-    parameters at which the selection event conditioned on holds; it is the
-    only step in which the exact methods differ (``parametric.si_dtw_region``
-    and ``baselines.si_dtw_oc_region``).  ``line`` is the data line in
-    sigma units (see ``_condition``), ``t_obs`` the observed statistic in
-    those units, and ``window`` the sign-preserving region on the line, computed
-    first: the result is intersected with it, so a builder need only be
-    exact inside it.  A builder that needs more of the data closes over it.
+    ``selection_region(cond)`` returns the line parameters at which the
+    selection event conditioned on holds; it is the only step in which the
+    exact methods differ (``_si_dtw`` and ``baselines._si_dtw_oc``).  ``cond``
+    is the conditioning record (``_Conditioning``): its ``line`` is the data
+    line in sigma units, ``z_obs / scale`` the observed statistic in those
+    units, and ``window`` the sign-preserving region on the line, computed
+    first: the result is intersected with it, so a builder need only be exact
+    inside it.  ``table`` is the pair's Bellman table, for a builder that
+    conditions on every sub-problem's choice.
     """
     return _finish(_condition(pair), selection_region)
+
+
+def _si_dtw(cond: _Conditioning) -> IntervalUnion:
+    """si-dtw's region builder: ``parametric.si_dtw_region`` on the record."""
+    return si_dtw_region(cond.line, cond.alignment, cond.window, cond.z_obs / cond.scale)
 
 
 def _unit_scale(sigma: float) -> float:
@@ -361,7 +370,7 @@ def selective_p_value(pair: TimeSeriesPair) -> InferenceResult:
     The selection region is where the envelope of optimal alignment losses
     along the data line carries the observed alignment: ``parametric.si_dtw_region``.
     """
-    return conditional_test(pair, si_dtw_region)
+    return conditional_test(pair, _si_dtw)
 
 
 def selective_confidence_interval(

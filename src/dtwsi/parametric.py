@@ -523,8 +523,10 @@ def si_dtw_region(
 ) -> IntervalUnion:
     """Where the envelope carries ``M_obs``, built on a witness hull inside the window.
 
-    The region builder of the exact method (see ``inference.conditional_test``
-    for the arguments).  Witnesses shrink the window first.  At a probe
+    The exact method's region: its builder ``inference._si_dtw`` passes the
+    conditioning record's data line in sigma units, alignment, sign window
+    and statistic on the line (see ``inference.conditional_test``).
+    Witnesses shrink the window first.  At a probe
     point, the path ``w`` optimal there has a loss ``q_w`` that bounds the
     envelope from above, so wherever ``q_w < q_obs`` the observed path
     ``M_obs`` is not optimal: that set lies outside the selection region.

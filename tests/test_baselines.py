@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dtwsi import baselines
+from dtwsi import baselines, inference
 from dtwsi.baselines import (
     data_splitting_test,
     permutation_test,
@@ -83,6 +83,11 @@ def observed_line(pair):
     M, _ = dtw(pair)
     d = direction_of(M, sign_vector(M, pair))
     return M, d, nuisance_decomposition(pair, d)
+
+
+def bellman_table(pair):
+    """The pair's Bellman table, the input of ``si_dtw_oc_constraints``."""
+    return accumulated_cost(cost_matrix(pair).tolist())
 
 
 class TestSolveQuadraticLeq:
@@ -202,9 +207,13 @@ class TestQuadraticSystem:
                 x, y = np.round(x, decimals), np.round(y, decimals)
             pair = TimeSeriesPair(x, y)
             _, _, line = observed_line(pair)
-            constraints = si_dtw_oc_constraints(pair, line)
+            constraints = si_dtw_oc_constraints(bellman_table(pair), line)
             want = hex_pieces(sequential_solution(constraints))
             assert hex_pieces(si_dtw_oc_region(pair, line)) == want
+            # the pipeline's builder reads the table conditioning solved
+            cond = inference._condition(pair)
+            on_record = hex_pieces(baselines._si_dtw_oc(cond))
+            assert on_record == hex_pieces(si_dtw_oc_region(pair, cond.line))
 
 
 class TestOcConstraintRows:
@@ -223,7 +232,7 @@ class TestOcConstraintRows:
                 _, _, line = observed_line(pair)
             except DegenerateDirectionError:
                 continue
-            rows = si_dtw_oc_constraints(pair, line)
+            rows = si_dtw_oc_constraints(bellman_table(pair), line)
             want = oracles.si_dtw_oc_constraints(pair, line)
             assert rows.shape == (len(want), 3)
             assert [[v.hex() for v in row] for row in rows.tolist()] == [
@@ -235,7 +244,7 @@ class TestOcConstraintRows:
         rng = np.random.default_rng(35)
         pair = TimeSeriesPair(rng.normal(size=n), rng.normal(size=m))
         _, _, line = observed_line(pair)
-        assert si_dtw_oc_constraints(pair, line).shape == (0, 3)
+        assert si_dtw_oc_constraints(bellman_table(pair), line).shape == (0, 3)
         assert si_dtw_oc_region(pair, line) == IntervalUnion.real_line()
 
 
@@ -250,9 +259,9 @@ class TestQuadraticConstraint:
         rng = np.random.default_rng(1)
         pair = TimeSeriesPair(rng.normal(size=4), rng.normal(size=4))
         M, d, line = observed_line(pair)
-        poly = si_dtw_oc_constraints(pair, line)
+        table = bellman_table(pair)
+        poly = si_dtw_oc_constraints(table, line)
         # rebuild each constraint densely from the observed sub-paths
-        table = accumulated_cost(cost_matrix(pair).tolist())
         paths = {(0, 0): ((1, 1),)}
         for i in range(4):
             for j in range(4):
@@ -396,7 +405,7 @@ class TestOcPValue:
         rng = np.random.default_rng(11)
         pair = TimeSeriesPair(rng.normal(size=4), rng.normal(size=4))
         M, d, line = observed_line(pair)
-        constraints = si_dtw_oc_constraints(pair, line)
+        constraints = si_dtw_oc_constraints(bellman_table(pair), line)
         forward = IntervalUnion.real_line()
         for c in constraints:
             forward = forward.intersect(solve_quadratic_leq(*c))

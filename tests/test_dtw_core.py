@@ -190,7 +190,8 @@ class TestBellmanPath:
             if seed % 2:
                 x, y = np.round(x), np.round(y)  # ties
             pair = TimeSeriesPair(x, y)
-            path, cost = bellman_path(x, y)
+            path, table = bellman_path(x, y)
+            cost = table[-1][-1]
             M = AlignmentMatrix(n, m, path)  # validates the path
             assert path_cost(M, cost_matrix(pair)) == pytest.approx(cost, rel=1e-12)
             assert abs(cost - brute_force_distance(pair)) <= 1e-12 * cost
@@ -201,8 +202,7 @@ class TestBellmanPath:
 
 def path_has_tie(x, y):
     """Whether the Bellman traceback of ``x, y`` meets a tied minimum on its way back."""
-    table = accumulated_cost(cost_matrix(TimeSeriesPair(x, y)).tolist())
-    path, _ = bellman_path(x, y)
+    path, table = bellman_path(x, y)
     for i, j in path[1:]:
         i, j = i - 1, j - 1
         if i and j:

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from dtwsi import baselines, harness, inference
+from dtwsi import baselines, dtw_core, harness, inference
 from dtwsi.baselines import permutation_test, si_dtw_oc_p_value
-from dtwsi.dtw_core import TimeSeriesPair, sign_vector
+from dtwsi.dtw_core import TimeSeriesPair, cost_matrix, sign_vector
 from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.harness import (
     COVARIANCES,
@@ -153,7 +153,7 @@ class TestRunners:
             cfg = ExperimentConfig(method="si-dtw", n=4, m=4, delta=delta, trials=10, seed=8)
             pairs = [generate_pair(cfg, t) for t in range(10)]
             want = tuple(
-                inference.conditional_test(pair, EXACT_METHODS["si-dtw"](pair)).p_selective
+                inference.conditional_test(pair, EXACT_METHODS["si-dtw"]).p_selective
                 for pair in pairs
             )
             assert run_fpr(cfg).results["si-dtw"].p_values == want
@@ -239,14 +239,14 @@ class TestSharedConditioning:
                 _standalone_trial(cfg, pair, name)
         assert events[-1] == raises
 
-        ci, oc_region = harness.truncated_gaussian_ci, baselines.si_dtw_oc_region
+        ci, oc_region = harness.truncated_gaussian_ci, EXACT_METHODS["si-dtw-oc"]
         order = []
         monkeypatch.setattr(harness, "generate_pair", lambda config, t: pair)
         monkeypatch.setattr(
             harness, "truncated_gaussian_ci", lambda *a: order.append("interval") or ci(*a)
         )
-        monkeypatch.setattr(
-            baselines, "si_dtw_oc_region", lambda *a: order.append("oc region") or oc_region(*a)
+        monkeypatch.setitem(
+            EXACT_METHODS, "si-dtw-oc", lambda cond: order.append("oc region") or oc_region(cond)
         )
         with pytest.raises(ArithmeticError) as batched:
             run_ci(cfg)
@@ -259,8 +259,8 @@ class TestSharedConditioning:
 
     @pytest.mark.parametrize("runner", ["ci", "si-dtw", "si-dtw-oc"])
     def test_conditions_each_trial_once(self, monkeypatch, runner):
-        calls = {"dtw": 0, "nuisance_decomposition": 0, "z2_region": 0}
-        for fn in calls:
+        calls = {"bellman_solve": 0, "nuisance_decomposition": 0, "z2_region": 0}
+        for fn in ("nuisance_decomposition", "z2_region"):
             wrapped = getattr(inference, fn)
 
             def counting(*args, _fn=fn, _wrapped=wrapped):
@@ -268,6 +268,24 @@ class TestSharedConditioning:
                 return _wrapped(*args)
 
             monkeypatch.setattr(inference, fn, counting)
+
+        # the pair's Bellman table is solved once per trial, however many
+        # methods finish on it: count the scalar solves of the trial's own
+        # cost matrix, bit for bit
+        pairs, generate, solve = [], harness.generate_pair, dtw_core.accumulated_cost
+
+        def recording(config, t):
+            pairs.append(generate(config, t))
+            return pairs[-1]
+
+        monkeypatch.setattr(harness, "generate_pair", recording)
+
+        def counting_solve(cost):
+            calls["bellman_solve"] += np.asarray(cost).tobytes() == cost_matrix(pairs[-1]).tobytes()
+            return solve(cost)
+
+        for module in (dtw_core, baselines):
+            monkeypatch.setattr(module, "accumulated_cost", counting_solve)
         method = "si-dtw" if runner == "ci" else runner
         cfg = ExperimentConfig(method=method, n=6, m=6, delta=1.0, trials=7, seed=4)
         rep = run_ci(cfg) if runner == "ci" else run_fpr(cfg)

@@ -10,7 +10,16 @@ from scipy.special import ndtri
 
 from dtwsi import inference, parametric
 from dtwsi.baselines import si_dtw_oc_p_value
-from dtwsi.dtw_core import AlignmentMatrix, TimeSeriesPair, dtw, enumerate_alignments, sign_vector
+from dtwsi.dtw_core import (
+    AlignmentMatrix,
+    TimeSeriesPair,
+    accumulated_cost,
+    bellman_predecessor,
+    cost_matrix,
+    dtw,
+    enumerate_alignments,
+    sign_vector,
+)
 from dtwsi.dtw_core import TestDirection as Direction
 from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.harness import ExperimentConfig, generate_pair
@@ -56,18 +65,20 @@ def random_pair(seed, n=5, m=5):
     return TimeSeriesPair(rng.normal(size=n), rng.normal(size=m))
 
 
-def enumeration_region(line, M_obs, window, t_obs):
+def enumeration_region(cond):
     """Selection region from the brute-force envelope over every alignment.
 
-    Built on the whole line; ``conditional_test`` intersects it with ``window``.
+    Built on the whole line; ``conditional_test`` intersects it with the window.
     """
+    line = cond.line
     env = envelope_bruteforce(enumerate_alignments(line.n, line.m), line)
-    return z1_region(env, M_obs)
+    return z1_region(env, cond.alignment)
 
 
-def full_line_region(line, M_obs, window, t_obs):
+def full_line_region(cond):
     """Selection region from the full-line envelope, the windowed engine's oracle."""
-    return z1_region(para_dtw(line, line.n, line.m), M_obs)
+    line = cond.line
+    return z1_region(para_dtw(line, line.n, line.m), cond.alignment)
 
 
 def assert_matches_full_line(pair):
@@ -355,12 +366,13 @@ class TestSelectivePValue:
         pair = generate_pair(ExperimentConfig(n=8, m=7, covariance="ar-correlation", seed=4), 0)
         calls = []
 
-        def recording(line, M_obs, window, t_obs):
-            calls.append((line, M_obs, window, t_obs))
+        def recording(cond):
+            calls.append(cond)
             return IntervalUnion.real_line()
 
         res = conditional_test(pair, recording)
-        ((line, M_obs, window, t_obs),) = calls
+        (cond,) = calls
+        line, M_obs, window, t_obs = cond.line, cond.alignment, cond.window, cond.z_obs / cond.scale
         scale = inference._unit_scale(res.sigma)
         assert t_obs * scale == res.z_obs
         M, d = observed_direction(pair)
@@ -369,6 +381,16 @@ class TestSelectivePValue:
         assert np.array_equal(line.a * scale, data_line.a)
         assert np.array_equal(line.b, data_line.b)
         assert window == z2_region(line, M, sign_vector(M, pair))
+        # the pair's Bellman table, bit for bit, and M_obs is its traceback
+        want = accumulated_cost(cost_matrix(pair).tolist())
+        assert [[v.hex() for v in row] for row in cond.table] == [
+            [v.hex() for v in row] for row in want
+        ]
+        cell, traced = (pair.n - 1, pair.m - 1), [(pair.n, pair.m)]
+        while cell != (0, 0):
+            cell = bellman_predecessor(cond.table, *cell)
+            traced.append((cell[0] + 1, cell[1] + 1))
+        assert tuple(reversed(traced)) == M.path
 
     def test_envelope_builder_reads_only_its_arguments(self):
         pair = random_pair(3, n=6, m=6)

@@ -768,12 +768,13 @@ class TestSubWindowBound:
                     assert_builder_matches(line, full, lo, hi, tables)
 
 
-def window_only_region(line, M_obs, window, t_obs):
+def window_only_region(cond):
     """Selection region from the envelope built on the whole window, no witnesses."""
+    line, window = cond.line, cond.window
     if window.is_empty:
         return window
     (bounds,) = window.intervals
-    return z1_region(para_dtw(line, line.n, line.m, bounds), M_obs)
+    return z1_region(para_dtw(line, line.n, line.m, bounds), cond.alignment)
 
 
 def outcome(test, pair):
@@ -817,8 +818,8 @@ def builder_inputs(pair):
     """The arguments ``selective_p_value`` passes to ``si_dtw_region`` for ``pair``."""
     calls = []
 
-    def recording(*args):
-        calls.append(args)
+    def recording(cond):
+        calls.append((cond.line, cond.alignment, cond.window, cond.z_obs / cond.scale))
         return IntervalUnion.real_line()
 
     conditional_test(pair, recording)

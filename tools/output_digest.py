@@ -30,9 +30,15 @@ HERE_ROOT = Path(__file__).resolve().parents[1]
 
 
 def _seeds(text: str) -> list[int]:
-    """``"3"`` or ``"0-9"`` (inclusive)."""
+    """``"3"`` or ``"0-9"`` (inclusive); anything else, or an empty range, is an argument error."""
     first, _, last = text.partition("-")
-    return list(range(int(first), int(last or first) + 1))
+    try:
+        seeds = list(range(int(first), int(last or first) + 1))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a seed or a range A-B: {text!r}") from None
+    if not seeds:
+        raise argparse.ArgumentTypeError(f"empty seed range: {text!r}")
+    return seeds
 
 
 def _values(out: dict):
@@ -74,7 +80,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=HERE_ROOT, help="checkout to digest")
     parser.add_argument("--workload", action="append", help="repeatable; default: all")
-    parser.add_argument("--seeds", default="0", help='one seed or an inclusive range "A-B"')
+    parser.add_argument(
+        "--seeds", type=_seeds, default="0", help='one seed or an inclusive range "A-B"'
+    )
     parser.add_argument("--pairs", type=int, help="k = 0 .. pairs-1 per seed")
     args = parser.parse_args(argv)
 
@@ -82,11 +90,15 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(bench))
     sys.dont_write_bytecode = True  # leave the checkout as it is
     worker = importlib.import_module("worker")
+    unknown = sorted(set(args.workload or ()) - set(worker.WORKLOADS))
+    if unknown:
+        known = ", ".join(worker.WORKLOADS)
+        parser.error(f"unknown workload {', '.join(unknown)} (choose from {known})")
     with open(bench / "references.json", "r", encoding="utf-8") as handle:
         references = json.load(handle)["workloads"]
     for name in args.workload or list(worker.WORKLOADS):
         pairs = len(references[name]) if args.pairs is None else args.pairs
-        print(json.dumps(digest(worker, name, _seeds(args.seeds), pairs)), flush=True)
+        print(json.dumps(digest(worker, name, args.seeds, pairs)), flush=True)
     return 0
 
 
