@@ -37,7 +37,7 @@ print(f"observed statistic z_obs = {z_obs:.4f}")
 alignments = enumerate_alignments(n, m)
 print(f"\n{len(alignments)} alignments in total; a few of their loss parabolas:")
 for M in alignments[:4]:
-    w0, w1, w2 = quadratic_loss(M, line).coefficients()
+    w0, w1, w2 = quadratic_loss(M, line)
     print(f"  {str(M.path):55s} {w0:7.3f} {w1:+7.3f} z {w2:+6.3f} z^2")
 
 env_slow = envelope_bruteforce(alignments, line)

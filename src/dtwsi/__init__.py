@@ -27,7 +27,6 @@ from .intervals import IntervalUnion, solve_quadratic_leq
 from .parametric import (
     DataLine,
     PiecewiseEnvelope,
-    QuadraticLoss,
     envelope_bruteforce,
     para_dtw,
     quadratic_loss,

@@ -14,14 +14,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .dtw_core import (
-    TimeSeriesPair,
-    accumulated_cost,
-    bellman_abs_sums,
-    bellman_path,
-    bellman_predecessor,
-    cost_matrix,
-)
+from .dtw_core import TimeSeriesPair, bellman_abs_sums, bellman_path, bellman_predecessor
 from .inference import InferenceResult, _Conditioning, conditional_test
 from .intervals import IntervalUnion, solve_quadratic_system
 from .parametric import DataLine, cell_terms
@@ -52,9 +45,12 @@ def si_dtw_oc_constraints(table: list[list[float]], line: DataLine) -> np.ndarra
     sub-path losses along the line.  Returned as a ``(k, 3)`` array of rows
     ``(alpha, beta, gamma)`` with the convention ``alpha z^2 + beta z + gamma
     <= 0``: cells in row-major order, and within a cell the two other
-    predecessors in diagonal, vertical, horizontal order.
+    predecessors in diagonal, vertical, horizontal order.  Raises
+    ``ValueError`` when the table's shape does not fit the line's split.
     """
     n, m = len(table), len(table[0])
+    if (n, m) != (line.n, line.m):
+        raise ValueError(f"table is {n}x{m} but line splits {line.n}+{line.m}")
     t0, t1, t2 = (t.ravel().tolist() for t in cell_terms(line))
     # per cell k = i * m + j: the loss quadratic (q0, q1, q2) of the observed
     # optimal sub-path, and the cell its Bellman predecessor
@@ -80,11 +76,11 @@ def si_dtw_oc_constraints(table: list[list[float]], line: DataLine) -> np.ndarra
 def si_dtw_oc_region(pair: TimeSeriesPair, line: DataLine) -> IntervalUnion:
     """Line region where every alignment sub-problem keeps its observed optimizer.
 
-    Solves the pair's Bellman table, then all per-cell constraints at once
-    (``solve_quadratic_system``).  The pipeline runs ``_si_dtw_oc``, which
-    reads the table that conditioning already solved.
+    Solves the pair's Bellman table (``bellman_path``), then all per-cell
+    constraints at once (``solve_quadratic_system``).  The pipeline runs
+    ``_si_dtw_oc``, which reads the table that conditioning already solved.
     """
-    table = accumulated_cost(cost_matrix(pair).tolist())
+    _, table = bellman_path(pair.x, pair.y)
     return solve_quadratic_system(si_dtw_oc_constraints(table, line))
 
 

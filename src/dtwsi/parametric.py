@@ -23,7 +23,6 @@ from .intervals import IntervalUnion, solve_quadratic_leq
 
 __all__ = [
     "DataLine",
-    "QuadraticLoss",
     "PiecewiseEnvelope",
     "cell_terms",
     "quadratic_loss",
@@ -101,36 +100,18 @@ class DataLine:
 
 
 @dataclass(frozen=True)
-class QuadraticLoss:
-    """Coefficients of a path loss ``w0 + w1 z + w2 z^2`` along a data line."""
-
-    w0: float
-    w1: float
-    w2: float
-
-    def __post_init__(self):
-        if self.w2 < 0.0:
-            raise ValueError("leading coefficient is a sum of squares; it cannot be negative")
-
-    def __call__(self, z: float) -> float:
-        return (self.w2 * z + self.w1) * z + self.w0
-
-    def coefficients(self) -> tuple[float, float, float]:
-        return (self.w0, self.w1, self.w2)
-
-
-@dataclass(frozen=True)
 class PiecewiseEnvelope:
     """Lower envelope of path losses: breakpoints and per-segment optima.
 
     The envelope covers ``[breakpoints[0], breakpoints[-1]]``, which is
     ``-inf`` to ``+inf`` for a full-line envelope; segment ``k`` covers
     ``[breakpoints[k], breakpoints[k+1]]`` and stores the alignment that is
-    minimal there together with its loss quadratic.
+    minimal there together with its loss triple ``(w0, w1, w2)``, the
+    quadratic ``w0 + w1 z + w2 z^2``.
     """
 
     breakpoints: tuple[float, ...]
-    segments: tuple[tuple[AlignmentMatrix, QuadraticLoss], ...]
+    segments: tuple[tuple[AlignmentMatrix, tuple[float, float, float]], ...]
 
     def __post_init__(self):
         if len(self.breakpoints) != len(self.segments) + 1:
@@ -149,7 +130,8 @@ class PiecewiseEnvelope:
         return bisect_left(self.breakpoints, z, 1, len(self.segments)) - 1
 
     def value(self, z: float) -> float:
-        return self.segments[self.segment_index_at(z)][1](z)
+        w0, w1, w2 = self.segments[self.segment_index_at(z)][1]
+        return (w2 * z + w1) * z + w0
 
 
 def cell_terms(line: DataLine) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -165,14 +147,14 @@ def cell_terms(line: DataLine) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return da * da, 2.0 * da * db, db * db
 
 
-def quadratic_loss(M: AlignmentMatrix, line: DataLine) -> QuadraticLoss:
-    """Loss quadratic of one alignment along the line.
+def quadratic_loss(M: AlignmentMatrix, line: DataLine) -> tuple[float, float, float]:
+    """Loss triple ``(w0, w1, w2)`` of one alignment along the line.
 
     Accumulates the per-cell terms in path order, so repeated evaluation and
     the incremental table recursion agree bit for bit.
     """
     _check_split(M, line)
-    return QuadraticLoss(*_path_loss(M.path, cell_terms(line)))
+    return _path_loss(M.path, cell_terms(line))
 
 
 def _check_split(M: AlignmentMatrix, line: DataLine) -> None:
@@ -362,7 +344,7 @@ def _merge_segments(breakpoints, order):
 
 def _envelope(bps, segments, n: int, m: int) -> PiecewiseEnvelope:
     """The envelope whose segment ``k`` holds the candidate ``segments[k]``."""
-    pieces = tuple((AlignmentMatrix(n, m, path), QuadraticLoss(*w)) for path, *w in segments)
+    pieces = tuple((AlignmentMatrix(n, m, c[0]), c[1:]) for c in segments)
     return PiecewiseEnvelope(tuple(bps), pieces)
 
 
@@ -552,7 +534,13 @@ def si_dtw_region(
     ``M_obs``'s: ``M_obs`` is optimal there too.  Which of two paths with
     identical losses the envelope carries depends on the window it is built
     on and on the losses that cap it.
+
+    Raises ``ValueError`` when ``M_obs`` does not fit the line's split or the
+    window has more than one piece.
     """
+    _check_split(M_obs, line)
+    if len(window) > 1:
+        raise ValueError(f"si_dtw_region needs a window of at most one piece, got {len(window)}")
     if window.is_empty:
         return window
     (bounds,) = window.intervals

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from dtwsi import baselines, inference
+from dtwsi import baselines, dtw_core, inference
 from dtwsi.baselines import (
     data_splitting_test,
     permutation_test,
@@ -247,6 +247,16 @@ class TestOcConstraintRows:
         assert si_dtw_oc_constraints(bellman_table(pair), line).shape == (0, 3)
         assert si_dtw_oc_region(pair, line) == IntervalUnion.real_line()
 
+    def test_table_that_does_not_fit_the_line_is_rejected(self):
+        rng = np.random.default_rng(36)
+        line = DataLine(rng.normal(size=7), rng.normal(size=7), 3)
+        for n in (2, 4):
+            table = bellman_table(TimeSeriesPair(rng.normal(size=n), rng.normal(size=4)))
+            with pytest.raises(ValueError, match=rf"table is {n}x4 but line splits 3\+4"):
+                si_dtw_oc_constraints(table, line)
+        with pytest.raises(ValueError, match=r"table is 5x4 but line splits 3\+4"):
+            si_dtw_oc_region(TimeSeriesPair(rng.normal(size=5), rng.normal(size=4)), line)
+
 
 class TestQuadraticConstraint:
     def test_symmetry_enforced(self):
@@ -472,7 +482,7 @@ class TestPermutation:
             want = reference_permutation_test(pair, 200, seed)
             with monkeypatch.context() as patch:
                 patch.setattr(baselines, "bellman_path", no_scalar_solve)
-                patch.setattr(baselines, "accumulated_cost", no_scalar_solve)
+                patch.setattr(dtw_core, "accumulated_cost", no_scalar_solve)
                 assert permutation_test(pair, 200, seed) == want
 
     @pytest.mark.parametrize("rows", [1, 3, 7])

@@ -11,9 +11,12 @@ import numpy as np
 import pytest
 
 import dtwsi
+from dtwsi import cli
 from dtwsi.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
+from dtwsi.dtw_core import enumerate_alignments
 from dtwsi.harness import EXACT_METHODS, ExperimentConfig, generate_pair
 from dtwsi.inference import conditional_test
+from dtwsi.parametric import DataLine, PiecewiseEnvelope, para_dtw
 
 SRC = str(Path(dtwsi.__file__).resolve().parents[1])
 
@@ -261,3 +264,52 @@ class TestOracleCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "input error: --n, --m and --instances must be at least 1\n"
+
+
+def nudged_breakpoint(*args):
+    """``para_dtw`` with its last interior breakpoint moved up by 1e-7."""
+    env = para_dtw(*args)
+    bps = list(env.breakpoints)
+    bps[-2] += 1e-7
+    return PiecewiseEnvelope(tuple(bps), env.segments)
+
+
+def swapped_path(*args):
+    """``para_dtw`` with the paths of its first two segments exchanged, losses kept."""
+    env = para_dtw(*args)
+    (A, wa), (B, wb), *rest = env.segments
+    return PiecewiseEnvelope(env.breakpoints, ((B, wa), (A, wb), *rest))
+
+
+class TestEnvelopeCheck:
+    def test_agrees_when_the_grid_splits_into_blocks(self):
+        rng = np.random.default_rng(12)
+        alignments = enumerate_alignments(6, 6)  # 1683 losses: two blocks of grid points
+        for _ in range(3):
+            line = DataLine(rng.normal(size=12), rng.normal(size=12), 6)
+            ok, value_gap, breakpoint_gap, _ = cli.check_envelope(line, alignments)
+            assert ok
+            assert value_gap <= cli.ENVELOPE_TOL
+            assert breakpoint_gap <= cli.ORACLE_TOL
+
+    @pytest.mark.parametrize("wrong, gap", [(nudged_breakpoint, "1.0e-07"), (swapped_path, "inf")])
+    def test_wrong_envelope_fails(self, monkeypatch, capsys, wrong, gap):
+        line = DataLine(np.arange(8.0) % 3, np.linspace(-1.0, 1.0, 8), 4)
+        alignments = enumerate_alignments(4, 4)
+        assert len(para_dtw(line, 4, 4).segments) > 1
+        assert cli.check_envelope(line, alignments)[0]
+        monkeypatch.setattr(cli, "para_dtw", wrong)
+        ok, value_gap, breakpoint_gap, _ = cli.check_envelope(line, alignments)
+        assert not ok
+        assert f"{breakpoint_gap:.1e}" == gap
+        assert value_gap <= cli.ENVELOPE_TOL  # caught by the segments, not the grid
+
+        code = main(["oracle", "--n", "4", "--m", "4", "--instances", "3", "--seed", "0"])
+        assert code == EXIT_NUMERIC
+        *instances, last = capsys.readouterr().out.splitlines()
+        for k, text in enumerate(instances):
+            assert text == (
+                f"instance {k:3d}: dtw=ok envelope=FAIL window=ok p=ok region=ok -> MISMATCH"
+            )
+        assert last.startswith("0/3 instances consistent; ")
+        assert last.endswith(f"worst breakpoint gap {gap}")

@@ -14,7 +14,6 @@ from dtwsi.intervals import IntervalUnion
 from dtwsi.parametric import (
     DataLine,
     PiecewiseEnvelope,
-    QuadraticLoss,
     _walk_envelope,
     cell_terms,
     envelope_bruteforce,
@@ -30,8 +29,14 @@ def random_line(rng, n, m, scale=1.0):
     return DataLine(rng.normal(size=n + m), scale * rng.normal(size=n + m), n)
 
 
+def loss_at(w, z):
+    """A ``(w0, w1, w2)`` loss triple at ``z``, as the envelope evaluates it."""
+    w0, w1, w2 = w
+    return (w2 * z + w1) * z + w0
+
+
 def pointwise_min(alignments, line, z):
-    return min(quadratic_loss(M, line)(z) for M in alignments)
+    return min(loss_at(quadratic_loss(M, line), z) for M in alignments)
 
 
 def sample_grid(env, count):
@@ -41,22 +46,21 @@ def sample_grid(env, count):
     return np.linspace(lo, hi, count)
 
 
-class TestQuadraticLoss:
+class TestLossTriple:
     def test_constant_line(self):
         rng = np.random.default_rng(0)
         a = rng.normal(size=6)
         line = DataLine(a, np.zeros(6), 3)
         M, _ = dtw(TimeSeriesPair(a[:3], a[3:]))
-        q = quadratic_loss(M, line)
-        assert q.w1 == 0.0 and q.w2 == 0.0
+        w0, w1, w2 = quadratic_loss(M, line)
+        assert w1 == 0.0 and w2 == 0.0
         static = path_cost(M, cost_matrix(TimeSeriesPair(a[:3], a[3:])))
-        assert q.w0 == pytest.approx(static, rel=1e-12)
+        assert w0 == pytest.approx(static, rel=1e-12)
 
     def test_single_cell_hand_expansion(self):
         line = DataLine(np.array([0.0, 0.0]), np.array([1.0, -1.0]), 1)
         M = dtw(TimeSeriesPair([0.0], [0.0]))[0]
-        q = quadratic_loss(M, line)
-        assert q.coefficients() == (0.0, 0.0, 4.0)
+        assert quadratic_loss(M, line) == (0.0, 0.0, 4.0)
 
     def test_evaluation_oracle(self):
         rng = np.random.default_rng(1)
@@ -66,11 +70,7 @@ class TestQuadraticLoss:
             for z in rng.uniform(-5, 5, size=100):
                 pair = TimeSeriesPair(line.a1 + line.b1 * z, line.a2 + line.b2 * z)
                 direct = path_cost(M, cost_matrix(pair))
-                assert abs(q(z) - direct) < 1e-9 * max(1.0, direct)
-
-    def test_negative_curvature_rejected(self):
-        with pytest.raises(ValueError):
-            QuadraticLoss(0.0, 0.0, -1e-3)
+                assert abs(loss_at(q, z) - direct) < 1e-9 * max(1.0, direct)
 
     def test_dimension_check(self):
         line = DataLine(np.zeros(5), np.zeros(5), 2)
@@ -285,8 +285,8 @@ class TestEnvelopeBruteforce:
         env = envelope_bruteforce(enumerate_alignments(4, 3), line)
         for k in range(1, len(env.segments)):
             b = env.breakpoints[k]
-            left = env.segments[k - 1][1](b)
-            right = env.segments[k][1](b)
+            left = loss_at(env.segments[k - 1][1], b)
+            right = loss_at(env.segments[k][1], b)
             assert abs(left - right) < 1e-8 * max(1.0, abs(left))
 
 
@@ -594,7 +594,6 @@ class TestCellBound:
 
         monkeypatch.setattr(parametric, "AlignmentMatrix", fail)
         monkeypatch.setattr(parametric, "PiecewiseEnvelope", fail)
-        monkeypatch.setattr(parametric, "QuadraticLoss", fail)
         tables = record_tables(monkeypatch)
         for k in range(4):
             pair = generate_pair(ExperimentConfig(n=12, m=12, delta=(0.0, 1.5)[k % 2], seed=4), k)
@@ -748,7 +747,7 @@ class TestSubWindowBound:
         assert len(walked) < 12 * 12 // 2
         ((_, _, segments),) = tables
         assert len(segments) == 1
-        assert segments[0][1:] == pytest.approx(want.coefficients(), rel=1e-12)
+        assert segments[0][1:] == pytest.approx(want, rel=1e-12)
 
     def test_point_and_tiny_windows_match_full_line(self, monkeypatch):
         tables = record_tables(monkeypatch)
@@ -814,6 +813,24 @@ class TestWitnessHull:
             assert hull.region == whole.region
 
 
+class TestRegionInputs:
+    def test_alignment_that_does_not_fit_the_line_is_rejected(self):
+        rng = np.random.default_rng(19)
+        line = DataLine(rng.normal(size=7), rng.normal(size=7), 3)
+        M, _ = dtw(TimeSeriesPair(rng.normal(size=2), rng.normal(size=4)))
+        window = IntervalUnion([(-1.0, 1.0)])
+        with pytest.raises(ValueError, match=r"alignment is 2x4 but line splits 3\+4"):
+            parametric.si_dtw_region(line, M, window, 0.0)
+
+    def test_window_of_two_pieces_is_rejected(self):
+        rng = np.random.default_rng(20)
+        line = DataLine(rng.normal(size=7), rng.normal(size=7), 3)
+        M, _ = dtw(TimeSeriesPair(rng.normal(size=3), rng.normal(size=4)))
+        window = IntervalUnion([(-2.0, -1.0), (1.0, 2.0)])
+        with pytest.raises(ValueError, match="window of at most one piece, got 2"):
+            parametric.si_dtw_region(line, M, window, 1.5)
+
+
 def builder_inputs(pair):
     """The arguments ``selective_p_value`` passes to ``si_dtw_region`` for ``pair``."""
     calls = []
@@ -863,7 +880,7 @@ class TestWitnessProbes:
         # probe, so every cut moves that end inward and only the budget stops them
         pair = TimeSeriesPair(*np.random.default_rng(7).normal(size=(2, 12)))
         line, M, _, t_obs = builder_inputs(pair)
-        q_obs = quadratic_loss(M, line)
+        o0, o1, o2 = quadratic_loss(M, line)
         probes = []
 
         def cutting(line, t, terms):
@@ -871,10 +888,10 @@ class TestWitnessProbes:
             # q_obs - q = side (t - z) + 0.01: the cut removes everything from
             # the probe's end of the window to 0.01 past the probe
             side = 1.0 if t < t_obs else -1.0
-            return ((0, 0),), (q_obs.w0 - side * t - 0.01, q_obs.w1 + side, q_obs.w2)
+            return ((0, 0),), (o0 - side * t - 0.01, o1 + side, o2)
 
         def hull_only(line, lo, hi, terms, usable):
-            return [lo, hi], [(M.path, *q_obs.coefficients())]
+            return [lo, hi], [(M.path, o0, o1, o2)]
 
         monkeypatch.setattr(parametric, "_optimal_at", cutting)
         monkeypatch.setattr(parametric, "_table_envelope", hull_only)
@@ -895,12 +912,12 @@ class TestWitnessProbes:
         pair = TimeSeriesPair([1, 1, -1, 1, 1, -1, 1], [0, 1, 1, 1, 0, 0, -1])
         line, M, window, t_obs = builder_inputs(pair)
         q_obs = quadratic_loss(M, line)
-        slack = parametric.WITNESS_SLACK * (1.0 + q_obs(t_obs))
+        slack = parametric.WITNESS_SLACK * (1.0 + loss_at(q_obs, t_obs))
         solves = record_solves(monkeypatch)
         parametric.si_dtw_region(line, M, window, t_obs)
         kept = [
-            t for t, path, (w0, w1, w2) in solves
-            if path != M.path and q_obs(t) - ((w2 * t + w1) * t + w0) <= slack
+            t for t, path, w in solves
+            if path != M.path and loss_at(q_obs, t) - loss_at(w, t) <= slack
         ]
         assert kept
         assert len(solves) <= 6
@@ -910,12 +927,12 @@ class TestWitnessProbes:
         # the region is empty and no table is walked
         pair = TimeSeriesPair(*np.random.default_rng(7).normal(size=(2, 12)))
         line, M, window, t_obs = builder_inputs(pair)
-        q_obs = quadratic_loss(M, line)
+        o0, o1, o2 = quadratic_loss(M, line)
         probes = []
 
         def below(line, t, terms):
             probes.append(t)
-            return ((0, 0),), (q_obs.w0 - 1.0, q_obs.w1, q_obs.w2)
+            return ((0, 0),), (o0 - 1.0, o1, o2)
 
         def fail(*args):
             raise AssertionError("the region builder walked a table after an empty cut")
@@ -965,7 +982,7 @@ class TestZ1Region:
         zs = [z for z in zs if all(abs(z - b) > 1e-6 for b in finite)]
         for z in zs:
             fresh, dist = dtw(TimeSeriesPair(line.a1 + line.b1 * z, line.a2 + line.b2 * z))
-            loss_obs = quadratic_loss(M_obs, line)(z)
+            loss_obs = loss_at(quadratic_loss(M_obs, line), z)
             if region.contains(z):
                 assert loss_obs == pytest.approx(dist, rel=1e-8)
             else:
@@ -975,7 +992,7 @@ class TestZ1Region:
 class TestPiecewiseEnvelope:
     def test_cover_runs_from_first_to_last_breakpoint(self):
         M = dtw(TimeSeriesPair([0.0], [0.0]))[0]
-        q = QuadraticLoss(0.0, 0.0, 1.0)
+        q = (0.0, 0.0, 1.0)
         env = PiecewiseEnvelope((0.0, math.inf), ((M, q),))
         assert env.value(0.0) == 0.0 and env.value(3.0) == 9.0
         with pytest.raises(ValueError, match="outside"):
@@ -987,7 +1004,7 @@ class TestPiecewiseEnvelope:
 
     def test_segment_lookup(self):
         M = dtw(TimeSeriesPair([0.0], [0.0]))[0]
-        qa, qb = QuadraticLoss(0.0, 0.0, 1.0), QuadraticLoss(1.0, 0.0, 0.0)
+        qa, qb = (0.0, 0.0, 1.0), (1.0, 0.0, 0.0)
         env = PiecewiseEnvelope((-math.inf, 0.0, math.inf), ((M, qa), (M, qb)))
         assert env.segment_index_at(-5.0) == 0
         assert env.segment_index_at(5.0) == 1
@@ -996,7 +1013,7 @@ class TestPiecewiseEnvelope:
         # a shared breakpoint belongs to the segment on its left; a repeated
         # one (a zero-width segment) to the leftmost segment that reaches it
         bps = (-math.inf, -1.0, 0.5, 0.5, 2.0, math.inf)
-        env = PiecewiseEnvelope(bps, tuple((M, QuadraticLoss(float(k), 0.0, 0.0)) for k in range(5)))
+        env = PiecewiseEnvelope(bps, tuple((M, (float(k), 0.0, 0.0)) for k in range(5)))
         # the segment just below, at, and just above each finite breakpoint
         cases = {-1.0: (0, 0, 1), 0.5: (1, 1, 3), 2.0: (3, 3, 4)}
         for b, (below, at, above) in cases.items():
