@@ -38,7 +38,7 @@ from .inference import (
     selective_p_value,
 )
 from .intervals import IntervalUnion
-from .parametric import DataLine, envelope_bruteforce, para_dtw, quadratic_loss
+from .parametric import DataLine, _path_loss, cell_terms, envelope_bruteforce, para_dtw
 from .parametric import si_dtw_region, z1_region
 
 EXIT_OK = 0
@@ -184,7 +184,8 @@ def check_envelope(line: DataLine, alignments):
     finite = [b for b in env.breakpoints if math.isfinite(b)]
     lo, hi = (min(finite) - 5.0, max(finite) + 5.0) if finite else (-10.0, 10.0)
     zs = np.concatenate([np.linspace(-20.0, 20.0, 200), np.linspace(lo, hi, 500)])
-    w0, w1, w2 = np.array([quadratic_loss(A, line) for A in alignments]).T[:, :, None]
+    terms = cell_terms(line)
+    w0, w1, w2 = np.array([_path_loss(A.path, terms) for A in alignments]).T[:, :, None]
     # a block of grid points at a time: at most about 2^20 losses in memory
     step = max(1, 2**20 // len(alignments))
     blocks = [zs[k : k + step] for k in range(0, zs.size, step)]

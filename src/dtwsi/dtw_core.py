@@ -86,8 +86,23 @@ class TimeSeriesPair:
         sigma_y = np.eye(y.size) if self.sigma_y is None else self.sigma_y
         object.__setattr__(self, "sigma_x", np.asarray(sigma_x, dtype=float))
         object.__setattr__(self, "sigma_y", np.asarray(sigma_y, dtype=float))
-        object.__setattr__(self, "chol_x", _check_covariance(self.sigma_x, x.size, "sigma_x"))
-        object.__setattr__(self, "chol_y", _check_covariance(self.sigma_y, y.size, "sigma_y"))
+        if "chol_x" not in vars(self):  # else set by _factored, on checked covariances
+            object.__setattr__(self, "chol_x", _check_covariance(self.sigma_x, x.size, "sigma_x"))
+            object.__setattr__(self, "chol_y", _check_covariance(self.sigma_y, y.size, "sigma_y"))
+
+    @classmethod
+    def _factored(cls, x, y, sigma_x, chol_x, sigma_y, chol_y) -> "TimeSeriesPair":
+        """A pair on covariances checked before, given with their Cholesky factors.
+
+        The series are checked as usual; the covariances are not checked or
+        factored again.  For ``harness.generate_pair``, whose covariances come
+        read-only from its cache with their factors.
+        """
+        pair = cls.__new__(cls)
+        object.__setattr__(pair, "chol_x", chol_x)
+        object.__setattr__(pair, "chol_y", chol_y)
+        pair.__init__(x, y, sigma_x, sigma_y)
+        return pair
 
     @property
     def n(self) -> int:

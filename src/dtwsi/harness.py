@@ -204,7 +204,8 @@ def generate_pair(config: ExperimentConfig, trial_index: int) -> TimeSeriesPair:
     )
     if config.variance_mode == "estimated":
         return estimated_variance_pair(x, y)
-    return TimeSeriesPair(x, y, sx, sy)
+    # symmetric by construction, and factored once in _covariance: no check to repeat
+    return TimeSeriesPair._factored(x, y, sx, lx, sy, ly)
 
 
 def _permutation_seed(config: ExperimentConfig, trial_index: int) -> int:

@@ -134,16 +134,17 @@ def _log_mass_standard(lo: float, hi: float) -> float:
 
     Evaluated as a difference of tail log-probabilities on the side where the
     interval lies, ``a + log(1 - exp(b - a))`` with ``b <= a``, so far-tail
-    intervals do not cancel to zero.
+    intervals do not cancel to zero.  The tails are taken as Python floats:
+    the same bits as numpy's scalars, in fewer interpreter steps.
     """
     if hi <= lo:
         return -math.inf
     if hi <= 0.0:
-        a, b = log_ndtr(hi), log_ndtr(lo)
+        a, b = float(log_ndtr(hi)), float(log_ndtr(lo))
     elif lo >= 0.0:
-        a, b = log_ndtr(-lo), log_ndtr(-hi)
+        a, b = float(log_ndtr(-lo)), float(log_ndtr(-hi))
     else:
-        return np.logaddexp(_log_mass_standard(lo, 0.0), _log_mass_standard(0.0, hi))
+        return float(np.logaddexp(_log_mass_standard(lo, 0.0), _log_mass_standard(0.0, hi)))
     if b >= a:  # no mass, or both tails -inf (beyond about 1.3e154), where b - a is NaN
         return -math.inf
     t = b - a
@@ -167,12 +168,28 @@ def _log_mass(pieces: tuple[tuple[float, float], ...], mean: float, sigma: float
     return top + math.log(sum(math.exp(v - top) for v in masses))
 
 
+def _log_masses_one_piece(
+    lo: float, z: float, hi: float, mean: float, sigma: float
+) -> tuple[float, float]:
+    """``_log_mass`` of ``N(mean, sigma^2)`` on ``[lo, hi]`` and on ``[z, hi]``, ``z >= lo``.
+
+    The tail's two masses for a one-piece region, with the shared end ``hi``
+    standardized once; ``z > hi`` gives the second no mass.
+    """
+    top = (hi - mean) / sigma
+    return (
+        _log_mass_standard((lo - mean) / sigma, top),
+        _log_mass_standard((z - mean) / sigma, top),
+    )
+
+
 def _tail(region: IntervalUnion, z_obs: float, sigma: float) -> Callable[[float], float]:
     """``mean -> P(Z >= z_obs | Z in region)`` for ``Z ~ N(mean, sigma^2)``, memoized.
 
     The truncated Gaussian's one gate: see ``truncated_gaussian_sf`` for what
     raises.  The masses stay in log space, so the tail keeps its relative
-    accuracy however far out the region lies.
+    accuracy however far out the region lies.  A one-piece region, most
+    regions, takes both masses from ``_log_masses_one_piece``.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma={sigma} must be finite and positive")
@@ -181,14 +198,20 @@ def _tail(region: IntervalUnion, z_obs: float, sigma: float) -> Callable[[float]
     if not (math.isfinite(z_obs) and region.contains(z_obs, tol=_membership_tol(sigma, z_obs))):
         raise ValueError(f"z_obs={z_obs} lies outside the truncation region {region}")
     pieces, upper = region.intervals, region.clip_lower(z_obs).intervals
+    one_piece = len(pieces) == 1
+    lo, hi = pieces[0]
+    start = max(lo, z_obs)  # upper's first end, as clip_lower has it; past hi if upper is empty
     tails: dict[float, float] = {}
 
     def tail(mean: float) -> float:
         if mean not in tails:
-            log_den = _log_mass(pieces, mean, sigma)
+            if one_piece:
+                log_den, log_num = _log_masses_one_piece(lo, start, hi, mean, sigma)
+            else:
+                log_den = _log_mass(pieces, mean, sigma)
+                log_num = _log_mass(upper, mean, sigma) if upper else -math.inf
             if log_den == -math.inf:
                 raise RegionMassUnderflowError("the region carries no representable mass")
-            log_num = _log_mass(upper, mean, sigma) if upper else -math.inf
             tails[mean] = 0.0 if log_num == -math.inf else min(1.0, math.exp(log_num - log_den))
         return tails[mean]
 
@@ -222,7 +245,9 @@ def truncated_gaussian_ci(
     ``1 - alpha/2`` by bisection to ``1e-8 sigma``; the tail probability is
     increasing in the mean, so each equation has at most one root.  Brackets
     start two standard deviations out and double until the tail crosses the
-    target.
+    target.  Far out, where adjacent floats lie more than ``1e-8 sigma``
+    apart (from between 4.5e7 and 9e7 sigma from 0), the bisection ends
+    when its bracket holds no float between its ends.
 
     Raises
     ------
@@ -267,6 +292,8 @@ def truncated_gaussian_ci(
         hi = bracket(target, +1.0)
         while hi - lo > 1e-8 * sigma:
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break  # adjacent floats, farther apart than 1e-8 sigma: mid is the bound
             if tail(mid) < target:
                 lo = mid
             else:

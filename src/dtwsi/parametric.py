@@ -242,7 +242,11 @@ def _walk_envelope(
     A lone candidate, or a walk whose active candidate is not crossed before
     ``hi``, returns its one segment at once: there is nothing to merge.
     Without these two exits a pair takes about 4% longer on ``single-pair``
-    and 2% longer on ``sim-batch``, timed the same way.
+    and 2% longer on ``sim-batch``, timed the same way.  A lone crosser is
+    the next active candidate without the tie-break, which has nothing to
+    break: a walk of two candidates and two segments, 870 of the 4,635
+    walks of 100 seed-0 ``single-pair`` pairs, takes about 6 us with this
+    exit and 11 us without it (fastest of 9 passes, same VM).
     """
     K = len(cands)
     if K == 1:
@@ -288,7 +292,7 @@ def _walk_envelope(
         # criterion; exact ties go to the smallest (w2, w1, w0), then the first.
         gap = MIN_BREAKPOINT_GAP * max(1.0, abs(best))
         crossers = [k for k in range(K) if roots[k] <= best + gap]
-        nxt = _minimal_after(crossers, best, cands)
+        nxt = crossers[0] if len(crossers) == 1 else _minimal_after(crossers, best, cands)
         if best <= lo:
             order[-1] = nxt  # left of the window: only the segment holding lo counts
         else:

@@ -110,6 +110,35 @@ class TestGeneratePair:
         with pytest.raises(ValueError):
             a.sigma_x[0, 1] = 0.0
 
+    def test_warm_cache_runs_no_cholesky(self, monkeypatch):
+        # the cached covariances come with their factors, which a pair keeps
+        cfg = ExperimentConfig(n=5, m=6, covariance="ar-correlation", seed=2)
+        generate_pair(cfg, 0)
+        calls = []
+        cholesky = np.linalg.cholesky
+        monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+        pairs = [generate_pair(cfg, t) for t in range(1, 6)]
+        assert calls == []
+        for pair in pairs:
+            fresh = TimeSeriesPair(pair.x, pair.y, pair.sigma_x.copy(), pair.sigma_y.copy())
+            assert np.array_equal(fresh.chol_x, pair.chol_x)
+            assert np.array_equal(fresh.chol_y, pair.chol_y)
+        assert len(calls) == 2 * len(pairs)  # a user-built pair is checked
+
+    @pytest.mark.parametrize(
+        "bad, match",
+        [([[1.0, 0.5], [0.1, 1.0]], "symmetric"), ([[1.0, 2.0], [2.0, 1.0]], "positive definite")],
+    )
+    def test_user_covariance_is_still_checked(self, bad, match):
+        # read-only, as the cached ones are, and after the cache is warm
+        generate_pair(ExperimentConfig(n=2, m=2), 0)
+        bad = np.array(bad)
+        bad.flags.writeable = False
+        with pytest.raises(ValueError, match=match):
+            TimeSeriesPair([0.0, 1.0], [0.0, 2.0], sigma_x=bad)
+        with pytest.raises(ValueError, match=match):
+            TimeSeriesPair([0.0, 1.0], [0.0, 2.0], sigma_y=bad)
+
     @pytest.mark.parametrize("family", ["gaussian", "laplace", "skew-normal-10", "student-t-20"])
     def test_noise_families_standardized(self, family):
         cfg = ExperimentConfig(n=100, m=2, noise=family, seed=4)

@@ -1,6 +1,7 @@
 """Tests for the conditional inference layer."""
 
 import math
+import signal
 import warnings
 
 import numpy as np
@@ -512,23 +513,53 @@ class TestConfidenceInterval:
         with pytest.raises(AssertionError, match="tail evaluated"):
             truncated_gaussian_ci(1.5, 1.0, region, 0.05)
 
-    def test_each_mean_is_evaluated_once(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "pieces, helper, per_mean",
+        [([(-1.0, 3.0)], "_log_masses_one_piece", 1), ([(-1.0, 0.0), (0.25, 3.0)], "_log_mass", 2)],
+        ids=["one-piece", "two-piece"],
+    )
+    def test_each_mean_is_evaluated_once(self, monkeypatch, pieces, helper, per_mean):
         # Both bounds bracket from z_obs -+ 2, 4, ... sigma, and every tail
-        # takes the region's mass and the mass above z_obs: a tail that is
-        # not memoized, or a mass evaluated twice, repeats a call.
+        # takes the region's mass and the mass above z_obs: in one call for
+        # one piece, in two otherwise.  A tail that is not memoized, or a mass
+        # evaluated twice, repeats a call.
         calls = []
-        log_mass = inference._log_mass
+        masses = getattr(inference, helper)
 
-        def counting(pieces, mean, sigma):
-            calls.append((pieces, mean))
-            return log_mass(pieces, mean, sigma)
+        def counting(*args):
+            calls.append(args)
+            return masses(*args)
 
-        monkeypatch.setattr(inference, "_log_mass", counting)
-        truncated_gaussian_ci(0.5, 1.0, IntervalUnion([(-1.0, 3.0)]), 0.05)
-        means = {mean for _, mean in calls}
-        assert len(calls) == len(set(calls)) == 2 * len(means)
+        monkeypatch.setattr(inference, helper, counting)
+        truncated_gaussian_ci(0.5, 1.0, IntervalUnion(pieces), 0.05)
+        means = {args[-2] for args in calls}
+        assert len(calls) == len(set(calls)) == per_mean * len(means)
         assert {-1.5, 2.5} <= means
         assert len(means) > 40
+
+    def test_bisection_ends_where_floats_are_coarser_than_its_stop(self):
+        # A sim-batch trial (seed 37, trial 5074): z_obs lies 3e-8 sigma below
+        # the region's upper end, so the upper bound is 6.7e7 sigma out, where
+        # adjacent floats are 6.0e-8 apart, more than the 1e-8 sigma stop
+        # (5.0e-8).  The bisection used to loop there for ever.
+        ends = (float.fromhex("0x1.916871950be24p+2"), float.fromhex("0x1.acaf993ef2216p+2"))
+        region = IntervalUnion([ends])
+        z_obs, sigma = float.fromhex("0x1.acaf989d72a6fp+2"), float.fromhex("0x1.3f0c701bce5d3p+2")
+
+        def hang(signum, frame):
+            raise TimeoutError("the bisection did not end")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            lo, hi = truncated_gaussian_ci(z_obs, sigma, region, 0.05)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert z_obs < lo < hi and 6e7 < (hi - z_obs) / sigma < 7e7
+        # the tail crosses 0.975 between hi and the float below it
+        tail = inference._tail(region, z_obs, sigma)
+        assert tail(math.nextafter(hi, -INF)) < 0.975 <= tail(hi)
 
     def test_statistic_at_lower_end_of_region(self):
         # si-dtw gives p = 1 on [14.7, 15.56] with z_obs a roundoff below

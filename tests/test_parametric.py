@@ -21,6 +21,7 @@ from dtwsi.parametric import (
     quadratic_loss,
     z1_region,
 )
+import oracles
 from dense_views import path_cost
 from oracles import walk_envelope as oracle_walk
 
@@ -191,16 +192,50 @@ class TestWalkOracle:
     """``_walk_envelope`` with its early exits matches the walk that always loops."""
 
     @pytest.mark.parametrize("decimals", [None, 1, 0])
-    def test_random_candidate_sets(self, decimals):
+    def test_random_candidate_sets(self, monkeypatch, decimals):
+        # The crossers at each step of the reference walk, and the steps at
+        # which the fast walk breaks a tie: it must do so at every cluster of
+        # crossers and at no lone crosser.
+        crossers, tie_breaks = [], []
+
+        def recording(minimal_after, sizes):
+            def record(kept, z, cands):
+                sizes.append(len(kept))
+                return minimal_after(kept, z, cands)
+
+            return record
+
+        monkeypatch.setattr(oracles, "_minimal_after", recording(oracles._minimal_after, crossers))
+        monkeypatch.setattr(
+            parametric, "_minimal_after", recording(parametric._minimal_after, tie_breaks)
+        )
         rng = np.random.default_rng([5, 0 if decimals is None else decimals + 1])
         single = 0
         for _ in range(300):
             cands = random_candidates(rng, int(rng.integers(1, 7)), decimals)
-            for lo, hi in walk_windows(rng, cands):
+            mark = len(crossers)
+            windows = walk_windows(rng, cands)
+            del crossers[mark:]  # the full-line walk that places a window
+            for lo, hi in windows:
                 want = hex_walk(oracle_walk(cands, lo, hi))
                 assert hex_walk(_walk_envelope(cands, lo, hi)) == want
                 single += len(want[1]) == 1
         assert single > 300
+        assert tie_breaks == [k for k in crossers if k > 1]
+        assert crossers.count(1) > 1000
+        # rounding makes shared crossings (3 at one decimal, 107 at none);
+        # at full precision there are none here
+        assert tie_breaks or decimals is None
+
+    def test_lone_crosser_whose_value_overflows(self):
+        # Two steep lines cross at about 2.5e9, where both values overflow to
+        # -inf.  The tie-break's bands are NaN there and keep no candidate,
+        # so the reference walk raises; a lone crosser needs no tie-break.
+        cands = [("a", 0.0, -1e300, 0.0), ("c", 1e295, -1e300 * (1.0 + 4e-15), 0.0)]
+        with pytest.raises(ValueError):
+            oracle_walk(cands)
+        (_, cross, _), order = _walk_envelope(cands)
+        assert order == [0, 1] and loss_at(cands[1][1:], cross) == -math.inf
 
     def test_dominated_candidates_give_one_segment(self):
         cands = [("low", 0.0, 0.0, 1.0), ("high", 5.0, 0.0, 1.0), ("line", 9.0, 0.1, 0.0)]
