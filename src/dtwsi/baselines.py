@@ -151,7 +151,5 @@ def data_splitting_test(pair: TimeSeriesPair) -> float:
     sub_y = pair.sigma_y[1::2, 1::2]
     var = float(eta[:n_inf] @ sub_x @ eta[:n_inf] + eta[n_inf:] @ sub_y @ eta[n_inf:])
     if var == 0.0:
-        if stat == 0.0:
-            return 0.5
-        return 0.0 if stat > 0.0 else 1.0
+        return 0.5 if stat == 0.0 else 0.0
     return float(ndtr(-stat / math.sqrt(var)))

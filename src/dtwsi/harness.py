@@ -263,8 +263,8 @@ def _run_batch(config: ExperimentConfig, methods: tuple[str, ...], with_ci: bool
             p_values=ps,
             seconds=tuple(collect[name]["sec"]),
             rejection_rate=float(np.mean([p <= config.alpha for p in ps])),
-            ci_lengths=tuple(collect[name]["len"]) if with_ci and collect[name]["len"] else None,
-            ci_covered=tuple(collect[name]["cov"]) if with_ci and collect[name]["cov"] else None,
+            ci_lengths=tuple(collect[name]["len"]) if with_ci else None,
+            ci_covered=tuple(collect[name]["cov"]) if with_ci else None,
         )
     return ExperimentReport(config=config, results=results)
 

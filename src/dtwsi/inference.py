@@ -153,43 +153,25 @@ def _log_mass_standard(lo: float, hi: float) -> float:
     return a + math.log1p(-math.exp(t))
 
 
-def _log_mass(pieces: tuple[tuple[float, float], ...], mean: float, sigma: float) -> float:
-    """Log-mass of ``N(mean, sigma^2)`` on the union of ``pieces``, by log-sum-exp.
+def _log_sum_exp(log_masses: list[float]) -> float:
+    """Log of the summed masses, ``-inf`` if none is representable.
 
-    A single piece's log-sum-exp is its own log-mass, returned as is.
+    One term comes back bit for bit, since ``exp(0) = 1`` and ``log(1) = 0``.
     """
-    if len(pieces) == 1:
-        ((lo, hi),) = pieces
-        return _log_mass_standard((lo - mean) / sigma, (hi - mean) / sigma)
-    masses = [_log_mass_standard((lo - mean) / sigma, (hi - mean) / sigma) for lo, hi in pieces]
-    top = max(masses)
+    top = max(log_masses)
     if top == -math.inf:
         return -math.inf
-    return top + math.log(sum(math.exp(v - top) for v in masses))
-
-
-def _log_masses_one_piece(
-    lo: float, z: float, hi: float, mean: float, sigma: float
-) -> tuple[float, float]:
-    """``_log_mass`` of ``N(mean, sigma^2)`` on ``[lo, hi]`` and on ``[z, hi]``, ``z >= lo``.
-
-    The tail's two masses for a one-piece region, with the shared end ``hi``
-    standardized once; ``z > hi`` gives the second no mass.
-    """
-    top = (hi - mean) / sigma
-    return (
-        _log_mass_standard((lo - mean) / sigma, top),
-        _log_mass_standard((z - mean) / sigma, top),
-    )
+    return top + math.log(sum(math.exp(v - top) for v in log_masses))
 
 
 def _tail(region: IntervalUnion, z_obs: float, sigma: float) -> Callable[[float], float]:
-    """``mean -> P(Z >= z_obs | Z in region)`` for ``Z ~ N(mean, sigma^2)``, memoized.
+    """``mean -> P(Z >= z_obs | Z in region)`` for ``Z ~ N(mean, sigma^2)``.
 
     The truncated Gaussian's one gate: see ``truncated_gaussian_sf`` for what
     raises.  The masses stay in log space, so the tail keeps its relative
-    accuracy however far out the region lies.  A one-piece region, most
-    regions, takes both masses from ``_log_masses_one_piece``.
+    accuracy however far out the region lies.  Each piece's mass is computed
+    once per mean: the numerator reuses those of the pieces wholly above
+    ``z_obs`` and adds only the piece that ``z_obs`` clips.
     """
     if not 0.0 < sigma < math.inf:
         raise ValueError(f"sigma={sigma} must be finite and positive")
@@ -200,20 +182,24 @@ def _tail(region: IntervalUnion, z_obs: float, sigma: float) -> Callable[[float]
     pieces, upper = region.intervals, region.clip_lower(z_obs).intervals
     one_piece = len(pieces) == 1
     lo, hi = pieces[0]
-    start = max(lo, z_obs)  # upper's first end, as clip_lower has it; past hi if upper is empty
-    tails: dict[float, float] = {}
+    # upper's first piece clips pieces[whole - 1], and the rest are pieces[whole:];
+    # an empty upper stands in as the massless [z_obs, z_obs].
+    start, end = upper[0] if upper else (z_obs, z_obs)
+    whole = len(pieces) - len(upper) + 1
 
     def tail(mean: float) -> float:
-        if mean not in tails:
-            if one_piece:
-                log_den, log_num = _log_masses_one_piece(lo, start, hi, mean, sigma)
-            else:
-                log_den = _log_mass(pieces, mean, sigma)
-                log_num = _log_mass(upper, mean, sigma) if upper else -math.inf
-            if log_den == -math.inf:
-                raise RegionMassUnderflowError("the region carries no representable mass")
-            tails[mean] = 0.0 if log_num == -math.inf else min(1.0, math.exp(log_num - log_den))
-        return tails[mean]
+        if one_piece:
+            top = (hi - mean) / sigma  # end is hi, or z_obs past it
+            log_den = _log_mass_standard((lo - mean) / sigma, top)
+            log_num = _log_mass_standard((start - mean) / sigma, top)
+        else:
+            masses = [_log_mass_standard((a - mean) / sigma, (b - mean) / sigma) for a, b in pieces]
+            log_den = _log_sum_exp(masses)
+            clipped = _log_mass_standard((start - mean) / sigma, (end - mean) / sigma)
+            log_num = _log_sum_exp([clipped, *masses[whole:]])
+        if log_den == -math.inf:
+            raise RegionMassUnderflowError("the region carries no representable mass")
+        return 0.0 if log_num == -math.inf else min(1.0, math.exp(log_num - log_den))
 
     return tail
 
@@ -262,7 +248,6 @@ def truncated_gaussian_ci(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie strictly between 0 and 1")
-    # Memoized: the brackets of both bounds start from the same points.
     tail = _tail(region, z_obs, sigma)
     upper = region.clip_lower(z_obs)
     if upper == region or all(lo == hi for lo, hi in upper):

@@ -72,6 +72,14 @@ class TestTimeSeriesPair:
         with pytest.raises(ValueError):
             TimeSeriesPair([], [1.0])
 
+    def test_rejects_two_dimensional_series(self):
+        with pytest.raises(ValueError, match="series must be one-dimensional"):
+            TimeSeriesPair(np.zeros((2, 2)), [1.0])
+
+    def test_rejects_covariance_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"sigma_x must be 2x2, got \(3, 3\)"):
+            TimeSeriesPair([0.0, 1.0], [0.0], sigma_x=np.eye(3))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValueError, match="series x has a non-finite value"):
@@ -109,6 +117,13 @@ class TestAlignmentMatrix:
         with pytest.raises(ValueError):
             AlignmentMatrix(2, 2, path)
 
+    def test_invalid_dimensions_and_empty_path(self):
+        for n, m in ((0, 1), (1, 0)):
+            with pytest.raises(ValueError, match="alignment dimensions must be >= 1"):
+                AlignmentMatrix(n, m, ((1, 1),))
+        with pytest.raises(ValueError, match="empty path"):
+            AlignmentMatrix(1, 1, ())
+
 
 class TestCostMatrix:
     def test_two_by_two(self):
@@ -140,6 +155,11 @@ class TestEnumeration:
                 assert delannoy(a, b) == delannoy(a - 1, b) + delannoy(a, b - 1) + delannoy(
                     a - 1, b - 1
                 )
+
+    def test_delannoy_rejects_negative_arguments(self):
+        for a, b in ((-1, 0), (0, -1)):
+            with pytest.raises(ValueError, match="arguments must be non-negative"):
+                delannoy(a, b)
 
     def test_counts_match_delannoy(self):
         for n, m in [(2, 4), (3, 5), (4, 4)]:

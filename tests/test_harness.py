@@ -41,6 +41,13 @@ class TestConfig:
             ExperimentConfig(covariance="toeplitz")
         with pytest.raises(ValueError):
             ExperimentConfig(noise="cauchy")
+        with pytest.raises(ValueError, match="variance_mode must be one of"):
+            ExperimentConfig(variance_mode="guessed")
+        for lengths in ({"n": 0}, {"m": 0}):
+            with pytest.raises(ValueError, match="series lengths must be >= 1"):
+                ExperimentConfig(**lengths)
+        with pytest.raises(ValueError, match="permutation count B must be >= 1"):
+            ExperimentConfig(B=0)
 
 
 class TestGeneratePair:
@@ -357,6 +364,12 @@ class TestUcrLoader:
         f.write_text("0," + ",".join(repr(float(v)) for v in values) + "\n")
         pair = load_ucr_pair(str(f), str(f), variance_mode="known")
         assert (pair.x == values).all()
+
+    def test_unknown_variance_mode_rejected(self, tmp_path):
+        f = tmp_path / "one.txt"
+        f.write_text("1,2,3\n")
+        with pytest.raises(ValueError, match="variance_mode must be one of"):
+            load_ucr_pair(str(f), str(f), variance_mode="guessed")
 
 
 class TestReportIo:

@@ -44,6 +44,13 @@ import oracles
 INF = math.inf
 
 
+def log_region_mass(intervals, mean, sigma):
+    """The tail's log-mass of ``N(mean, sigma^2)`` on ``intervals``: a sum of piece masses."""
+    return inference._log_sum_exp(
+        [inference._log_mass_standard((lo - mean) / sigma, (hi - mean) / sigma) for lo, hi in intervals]
+    )
+
+
 def mpmath_sf(z_obs, sigma, intervals):
     """``P(Z >= z_obs | Z in intervals)``, ``Z ~ N(0, sigma^2)``, at 50 digits, as a float."""
     mpmath = pytest.importorskip("mpmath")
@@ -247,7 +254,7 @@ class TestTruncatedGaussianSf:
         # log-space tail keeps its relative accuracy there
         intervals = [(lo * sigma, hi * sigma) for lo, hi in pieces]
         region = IntervalUnion(intervals)
-        assert inference._log_mass(region.intervals, 0.0, sigma) < -800.0
+        assert log_region_mass(region.intervals, 0.0, sigma) < -800.0
         got = truncated_gaussian_sf(z_obs * sigma, sigma, region)
         assert 0.0 < got < 1.0
         assert got == pytest.approx(mpmath_sf(z_obs * sigma, sigma, intervals), rel=1e-10)
@@ -256,7 +263,7 @@ class TestTruncatedGaussianSf:
         # wider than zero, but narrower than any change of the tail
         # log-probabilities, so its log-mass is -inf at every mean
         region = IntervalUnion([(0.0, 1e-300)])
-        assert inference._log_mass(region.intervals, 0.0, 1.0) == -INF
+        assert log_region_mass(region.intervals, 0.0, 1.0) == -INF
         with pytest.raises(RegionMassUnderflowError, match="no representable mass"):
             truncated_gaussian_sf(5e-301, 1.0, region)
         with pytest.raises(RegionMassUnderflowError, match="no representable mass"):
@@ -276,7 +283,7 @@ class TestTruncatedGaussianSf:
             assert truncated_gaussian_sf(1.5e200, 1.0, IntervalUnion([(-1.0, 1.0), far])) == 0.0
             # several such pieces: the log-sum-exp has no finite term
             pieces = IntervalUnion([far, (3e200, 4e200)])
-            assert inference._log_mass(pieces.intervals, 0.0, 1.0) == -INF
+            assert log_region_mass(pieces.intervals, 0.0, 1.0) == -INF
             with pytest.raises(RegionMassUnderflowError, match="no representable mass"):
                 truncated_gaussian_sf(1.5e200, 1.0, pieces)
 
@@ -312,7 +319,7 @@ class TestTruncatedGaussianSf:
         # 44 sigma out, with log-masses from -880 to -1012
         pair = generate_pair(ExperimentConfig(n=10, m=10, delta=20.0, seed=1, trials=60), trial)
         res = si_dtw_oc_p_value(pair)
-        assert inference._log_mass(res.region.intervals, 0.0, res.sigma) < -800.0
+        assert log_region_mass(res.region.intervals, 0.0, res.sigma) < -800.0
         want = mpmath_sf(res.z_obs, res.sigma, res.region)
         assert res.p_selective == pytest.approx(want, rel=1e-10)
 
@@ -505,7 +512,7 @@ class TestConfidenceInterval:
         def fail(*args):
             raise AssertionError("tail evaluated")
 
-        monkeypatch.setattr(inference, "_log_mass", fail)
+        monkeypatch.setattr(inference, "_log_mass_standard", fail)
         region = IntervalUnion([(1.0, 2.0), (3.0, 4.0)])
         with pytest.raises(ArithmeticError, match=f"{where} end.*same for every mean"):
             truncated_gaussian_ci(z_obs, 1.0, region, 0.05)
@@ -514,28 +521,46 @@ class TestConfidenceInterval:
             truncated_gaussian_ci(1.5, 1.0, region, 0.05)
 
     @pytest.mark.parametrize(
-        "pieces, helper, per_mean",
-        [([(-1.0, 3.0)], "_log_masses_one_piece", 1), ([(-1.0, 0.0), (0.25, 3.0)], "_log_mass", 2)],
-        ids=["one-piece", "two-piece"],
+        "pieces, z_obs, per_mean",
+        [
+            ([(-1.0, 3.0)], 0.5, 2),
+            ([(-1.0, 0.0), (0.25, 3.0)], -0.5, 3),
+            ([(-1.0, 0.0), (0.25, 3.0)], 0.5, 3),
+        ],
+        ids=["one-piece", "two-piece-z-in-lower", "two-piece-z-in-upper"],
     )
-    def test_each_mean_is_evaluated_once(self, monkeypatch, pieces, helper, per_mean):
-        # Both bounds bracket from z_obs -+ 2, 4, ... sigma, and every tail
-        # takes the region's mass and the mass above z_obs: in one call for
-        # one piece, in two otherwise.  A tail that is not memoized, or a mass
-        # evaluated twice, repeats a call.
-        calls = []
-        masses = getattr(inference, helper)
+    def test_each_piece_mass_once_per_mean(self, monkeypatch, pieces, z_obs, per_mean):
+        # Every tail takes each piece's mass once and the mass of the piece
+        # that z_obs clips: a piece wholly above z_obs shares its mass between
+        # the region and the part above z_obs.  Masses that split at 0 and
+        # call themselves count once.
+        evaluations, masses, nested = [], [], []
+        tail, mass = inference._tail, inference._log_mass_standard
 
-        def counting(*args):
-            calls.append(args)
-            return masses(*args)
+        def counting_tail(*args):
+            evaluate = tail(*args)
 
-        monkeypatch.setattr(inference, helper, counting)
-        truncated_gaussian_ci(0.5, 1.0, IntervalUnion(pieces), 0.05)
-        means = {args[-2] for args in calls}
-        assert len(calls) == len(set(calls)) == per_mean * len(means)
-        assert {-1.5, 2.5} <= means
-        assert len(means) > 40
+            def counted(mean):
+                evaluations.append(mean)
+                return evaluate(mean)
+
+            return counted
+
+        def counting_mass(lo, hi):
+            if not nested:
+                masses.append((lo, hi))
+            nested.append(None)
+            try:
+                return mass(lo, hi)
+            finally:
+                nested.pop()
+
+        monkeypatch.setattr(inference, "_tail", counting_tail)
+        monkeypatch.setattr(inference, "_log_mass_standard", counting_mass)
+        truncated_gaussian_ci(z_obs, 1.0, IntervalUnion(pieces), 0.05)
+        assert len(masses) == per_mean * len(evaluations)
+        assert {z_obs - 2.0, z_obs + 2.0} <= set(evaluations)
+        assert len(evaluations) > 40
 
     def test_bisection_ends_where_floats_are_coarser_than_its_stop(self):
         # A sim-batch trial (seed 37, trial 5074): z_obs lies 3e-8 sigma below
@@ -614,7 +639,7 @@ class TestIntervalOracle:
             means += inner_points(lo, hi)
             means += [v for v in (lo - 3.0 * sigma, hi + 3.0 * sigma) if math.isfinite(v)]
         for mean in means:
-            got = inference._log_mass(region.intervals, mean, sigma)
+            got = log_region_mass(region.intervals, mean, sigma)
             assert float(got).hex() == float(oracles.log_region_mass(region, mean, sigma)).hex()
 
     @pytest.mark.parametrize("pieces", ORACLE_REGIONS)

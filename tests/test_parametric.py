@@ -73,6 +73,15 @@ class TestLossTriple:
                 direct = path_cost(M, cost_matrix(pair))
                 assert abs(loss_at(q, z) - direct) < 1e-9 * max(1.0, direct)
 
+    def test_line_checks(self):
+        with pytest.raises(ValueError, match="1-d vectors of equal length"):
+            DataLine(np.zeros(5), np.zeros(4), 2)
+        with pytest.raises(ValueError, match="1-d vectors of equal length"):
+            DataLine(np.zeros((2, 2)), np.zeros((2, 2)), 1)
+        for n in (0, 5):
+            with pytest.raises(ValueError, match="split must leave both series non-empty"):
+                DataLine(np.zeros(5), np.zeros(5), n)
+
     def test_dimension_check(self):
         line = DataLine(np.zeros(5), np.zeros(5), 2)
         M = dtw(TimeSeriesPair([0.0, 1.0], [0.0, 1.0]))[0]
@@ -575,6 +584,26 @@ class TestWindowedParaDtw:
         with pytest.raises(ValueError, match="empty"):
             para_dtw(line, 2, 2, (1.0, 0.0))
 
+    def test_split_that_does_not_match_rejected(self):
+        line = random_line(np.random.default_rng(14), 2, 3)
+        with pytest.raises(ValueError, match="line split does not match requested dimensions"):
+            para_dtw(line, 3, 2)
+
+    def test_cell_without_usable_predecessor_keeps_no_candidate(self):
+        # (0, 3) is usable but its only predecessor (0, 2) is not: the walk
+        # leaves it empty, exactly as if it were unusable too
+        line = random_line(np.random.default_rng(15), 4, 4)
+        terms = cell_terms(line)
+
+        def table(*unusable):
+            usable = np.ones((4, 4), dtype=bool)
+            for cell in unusable:
+                usable[cell] = False
+            bps, segments = parametric._table_envelope(line, -math.inf, math.inf, terms, usable)
+            return [b.hex() for b in bps], [(p, *(w.hex() for w in ws)) for p, *ws in segments]
+
+        assert table((0, 2)) == table((0, 2), (0, 3))
+
 
 def count_walks(monkeypatch):
     """Record the candidate count of every cell ``para_dtw`` walks."""
@@ -1036,6 +1065,10 @@ class TestPiecewiseEnvelope:
             env.segment_index_at(math.nan)
         with pytest.raises(ValueError, match="non-decreasing"):
             PiecewiseEnvelope((1.0, 0.0), ((M, q),))
+        with pytest.raises(ValueError, match="need exactly one more breakpoint than segments"):
+            PiecewiseEnvelope((0.0, 1.0, 2.0), ((M, q),))
+        with pytest.raises(ValueError, match="envelope needs at least one segment"):
+            PiecewiseEnvelope((0.0,), ())
 
     def test_segment_lookup(self):
         M = dtw(TimeSeriesPair([0.0], [0.0]))[0]
