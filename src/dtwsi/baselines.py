@@ -14,13 +14,18 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .dtw_core import TimeSeriesPair, bellman_abs_sums, bellman_path, bellman_predecessor
+from .dtw_core import (
+    TimeSeriesPair,
+    _path_cells,
+    bellman_abs_sums,
+    bellman_path,
+    bellman_predecessor,
+)
 from .inference import InferenceResult, _Conditioning, conditional_test
 from .intervals import IntervalUnion, solve_quadratic_system
 from .parametric import DataLine, cell_terms
 
 __all__ = [
-    "si_dtw_oc_constraints",
     "si_dtw_oc_region",
     "si_dtw_oc_p_value",
     "permutation_test",
@@ -35,10 +40,10 @@ __all__ = [
 PERMUTATION_CELL_BUDGET = 2**20
 
 
-def si_dtw_oc_constraints(table: list[list[float]], line: DataLine) -> np.ndarray:
+def _si_dtw_oc_constraints(table: list[list[float]], line: DataLine) -> np.ndarray:
     """Per-cell quadratic constraints of the fully conditioned selection event.
 
-    ``table`` is the pair's ``n x m`` Bellman table (``accumulated_cost`` of
+    ``table`` is the pair's ``n x m`` Bellman table (``_accumulated_cost`` of
     its ``cost_matrix``), which fixes every cell's observed predecessor.  For
     every interior cell, the observed predecessor must beat the other two;
     the shared cell cost cancels, leaving the difference of the two observed
@@ -51,7 +56,7 @@ def si_dtw_oc_constraints(table: list[list[float]], line: DataLine) -> np.ndarra
     n, m = len(table), len(table[0])
     if (n, m) != (line.n, line.m):
         raise ValueError(f"table is {n}x{m} but line splits {line.n}+{line.m}")
-    t0, t1, t2 = (t.ravel().tolist() for t in cell_terms(line))
+    t0, t1, t2 = cell_terms(line).reshape(3, -1).tolist()
     # per cell k = i * m + j: the loss quadratic (q0, q1, q2) of the observed
     # optimal sub-path, and the cell its Bellman predecessor
     q0, q1, q2 = ([0.0] * (n * m) for _ in range(3))
@@ -81,12 +86,12 @@ def si_dtw_oc_region(pair: TimeSeriesPair, line: DataLine) -> IntervalUnion:
     ``_si_dtw_oc``, which reads the table that conditioning already solved.
     """
     _, table = bellman_path(pair.x, pair.y)
-    return solve_quadratic_system(si_dtw_oc_constraints(table, line))
+    return solve_quadratic_system(_si_dtw_oc_constraints(table, line))
 
 
 def _si_dtw_oc(cond: _Conditioning) -> IntervalUnion:
     """si-dtw-oc's region builder: the constraints of the record's Bellman table."""
-    return solve_quadratic_system(si_dtw_oc_constraints(cond.table, cond.line))
+    return solve_quadratic_system(_si_dtw_oc_constraints(cond.table, cond.line))
 
 
 def si_dtw_oc_p_value(pair: TimeSeriesPair) -> InferenceResult:
@@ -137,16 +142,14 @@ def data_splitting_test(pair: TimeSeriesPair) -> float:
     x_inf, y_inf = pair.x[1::2], pair.y[1::2]
     n_inf, m_inf = x_inf.size, y_inf.size
     path, _ = bellman_path(pair.x[0::2], pair.y[0::2])
-    eta = np.zeros(n_inf + m_inf)
-    stat = 0.0
-    for i, j in path:
-        i2 = min(i, n_inf) - 1
-        j2 = min(j, m_inf) - 1
-        d = x_inf[i2] - y_inf[j2]
-        s = math.copysign(1.0, d) if d != 0.0 else 0.0
-        eta[i2] += s
-        eta[n_inf + j2] -= s
-        stat += abs(d)
+    rows, cols = _path_cells(path)
+    rows, cols = np.minimum(rows, n_inf - 1), np.minimum(cols, m_inf - 1)
+    d = x_inf[rows] - y_inf[cols]
+    s = np.sign(d)
+    size = n_inf + m_inf
+    eta = np.bincount(rows, s, size) - np.bincount(n_inf + cols, s, size)
+    # sequential sum in path order, not numpy's pairwise sum
+    stat = float(np.add.accumulate(np.abs(d))[-1])
     sub_x = pair.sigma_x[1::2, 1::2]
     sub_y = pair.sigma_y[1::2, 1::2]
     var = float(eta[:n_inf] @ sub_x @ eta[:n_inf] + eta[n_inf:] @ sub_y @ eta[n_inf:])

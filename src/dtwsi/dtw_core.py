@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -18,12 +19,10 @@ __all__ = [
     "TimeSeriesPair",
     "AlignmentMatrix",
     "TestDirection",
-    "accumulated_cost",
     "bellman_abs_sums",
     "bellman_path",
     "bellman_predecessor",
     "bellman_tables",
-    "bellman_wavefront",
     "cost_matrix",
     "delannoy",
     "enumerate_alignments",
@@ -229,13 +228,13 @@ def enumerate_alignments(n: int, m: int) -> list[AlignmentMatrix]:
     return [AlignmentMatrix(n, m, p) for p in paths]
 
 
-def accumulated_cost(cost: list[list[float]]) -> list[list[float]]:
+def _accumulated_cost(cost: list[list[float]]) -> list[list[float]]:
     """Bellman table of an ``n x m`` cost matrix given as nested lists.
 
     Entry ``(i, j)`` is the least summed cost of a warping path from cell
     ``(0, 0)`` to cell ``(i, j)``, both ends included.  The scalar Bellman
     recursion, for single solves: ``bellman_path`` runs it, and hands its
-    table on to the over-conditioned constraints.  ``bellman_wavefront`` runs
+    table on to the over-conditioned constraints.  ``_bellman_wavefront`` runs
     the same recursion on a stack of cost matrices at once, for
     ``bellman_abs_sums`` and the envelope's cell bound.
     """
@@ -284,11 +283,11 @@ def bellman_path(
     """Optimal warping path of series ``x`` and ``y`` (1-based) and its Bellman table.
 
     The one two-series alignment solve; ties are broken by ``bellman_predecessor``.
-    The table is ``accumulated_cost`` of the squared differences, bit for bit
+    The table is ``_accumulated_cost`` of the squared differences, bit for bit
     that of ``cost_matrix``; its last entry is the path's squared cost.
     """
     d = np.subtract.outer(x, y)
-    table = accumulated_cost((d * d).tolist())
+    table = _accumulated_cost((d * d).tolist())
     i, j = d.shape[0] - 1, d.shape[1] - 1
     path = [(i + 1, j + 1)]
     while i > 0 or j > 0:
@@ -298,14 +297,14 @@ def bellman_path(
     return tuple(path), table
 
 
-def bellman_wavefront(cost, n: int, m: int, rows: int) -> np.ndarray:
+def _bellman_wavefront(cost, n: int, m: int, rows: int) -> np.ndarray:
     """Bellman tables of a stack of ``rows`` cost matrices, ``n x m`` each, in one wavefront.
 
     ``cost(k, lo, hi)`` returns the costs of the cells ``(i, k - i)``,
     ``i = lo..hi``, of anti-diagonal ``k`` as a ``(hi + 1 - lo, rows)``
     array, column ``r`` for matrix ``r``.  The wavefront visits the
     diagonals in order and gives every cell the same minimum and the same
-    single ``+`` as ``accumulated_cost``, so for costs that are neither NaN
+    single ``+`` as ``_accumulated_cost``, so for costs that are neither NaN
     nor ``-0.0`` (squares and zeros qualify) each matrix's table is
     bit-identical to the scalar one.  ``bellman_abs_sums`` fills its
     tables here, and ``bellman_tables`` for the envelope's cell bound.
@@ -334,7 +333,7 @@ def bellman_wavefront(cost, n: int, m: int, rows: int) -> np.ndarray:
 
 
 def bellman_tables(costs: np.ndarray) -> np.ndarray:
-    """Bellman tables of an ``(n, m, rows)`` stack of cost matrices, by ``bellman_wavefront``.
+    """Bellman tables of an ``(n, m, rows)`` stack of cost matrices, by ``_bellman_wavefront``.
 
     Returns a read-only ``(n, m, rows)`` strided view of the wavefront's
     table: entry ``[i, j, r]`` is cell ``(i, j)`` of matrix ``r``.  A
@@ -343,7 +342,7 @@ def bellman_tables(costs: np.ndarray) -> np.ndarray:
     n, m, rows = costs.shape
     # cell (i, k - i) is flat cell k + i (m - 1): an anti-diagonal is one slice
     flat, step = costs.reshape(n * m, rows), max(m - 1, 1)
-    table = bellman_wavefront(
+    table = _bellman_wavefront(
         lambda k, first, last: flat[k + first * (m - 1) : k + last * (m - 1) + 1 : step],
         n, m, rows,
     )[2:, 1:]
@@ -363,7 +362,7 @@ def bellman_abs_sums(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     ``+=`` loop.  For one pair the scalar solve is faster; at n = m = 30
     this pays off from about 6 rows on.
 
-    The tables come from ``bellman_wavefront`` on the squared differences.
+    The tables come from ``_bellman_wavefront`` on the squared differences.
     The stacks are copied once into C-contiguous ``(n, rows)`` and
     ``(m, rows)`` arrays, ``y`` with its time axis reversed, so the cells of
     one anti-diagonal pair two ascending contiguous slices, and each
@@ -399,7 +398,7 @@ def bellman_abs_sums(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
         d = np.subtract(xt[lo : hi + 1], yr[m - 1 - k + lo : m - k + hi], out=buf[: hi + 1 - lo])
         return np.multiply(d, d, out=d)
 
-    table = bellman_wavefront(squares, n, m, rows)
+    table = _bellman_wavefront(squares, n, m, rows)
 
     # A step back in i moves `up` places in the flat table, a step back in j
     # `left` places, and a diagonal step both.  The neighbours of position p
@@ -445,11 +444,28 @@ def dtw(pair: TimeSeriesPair) -> tuple[AlignmentMatrix, float]:
     return AlignmentMatrix(pair.n, pair.m, path), table[-1][-1]
 
 
+def _path_cells(path) -> tuple[np.ndarray, np.ndarray]:
+    """0-based row and column indices of a 1-based path's cells, in path order.
+
+    The one place a path becomes array indices: every per-cell gather or sum
+    over a path (aligned differences, test direction, loss, split test)
+    starts here.
+    """
+    flat = np.fromiter(chain.from_iterable(path), np.intp, 2 * len(path)) - 1
+    return flat[0::2], flat[1::2]
+
+
 def path_differences(M: AlignmentMatrix, v: np.ndarray) -> np.ndarray:
-    """Differences ``v[i-1] - v[n+j-1]`` of stacked ``v`` at the path cells, in path order."""
+    """Differences ``v[..., i-1] - v[..., n+j-1]`` at the path cells, in path order.
+
+    ``v`` is a stacked vector of length ``n + m``, or a stack of them along
+    the last axis; anything else raises ``ValueError``.
+    """
     v = np.asarray(v, dtype=float)
-    cells = np.array(M.path) - 1
-    return v[cells[:, 0]] - v[M.n + cells[:, 1]]
+    if v.shape[-1:] != (M.n + M.m,):
+        raise ValueError(f"vector must have length n + m = {M.n + M.m}, got shape {v.shape}")
+    rows, cols = _path_cells(M.path)
+    return v[..., rows] - v[..., M.n + cols]
 
 
 def sign_vector(M: AlignmentMatrix, pair: TimeSeriesPair) -> np.ndarray:
@@ -470,10 +486,10 @@ def test_direction(M: AlignmentMatrix, s: np.ndarray) -> TestDirection:
     s = np.asarray(s, dtype=float)
     if s.shape != (len(M.path),):
         raise ValueError(f"sign vector must have length {len(M.path)}, got {s.shape}")
-    eta = np.zeros(M.n + M.m)
-    for (i, j), sk in zip(M.path, s):
-        eta[i - 1] += sk
-        eta[M.n + j - 1] -= sk
+    rows, cols = _path_cells(M.path)
+    size = M.n + M.m
+    # signs are +-1 or 0, so every sum is exact whatever the order of its terms
+    eta = np.bincount(rows, s, size) - np.bincount(M.n + cols, s, size)
     return TestDirection(eta=eta)
 
 

@@ -116,14 +116,13 @@ def z2_region(line: DataLine, M: AlignmentMatrix, s_obs: np.ndarray) -> Interval
     the solution is a single (possibly empty or unbounded) interval.
     """
     s_obs = np.asarray(s_obs, dtype=float)
-    nu1 = s_obs * path_differences(M, line.a)
-    nu2 = s_obs * path_differences(M, line.b)
-    if np.any((nu2 == 0.0) & (nu1 < 0.0)):
+    nu1, nu2 = s_obs * path_differences(M, np.stack([line.a, line.b]))
+    if ((nu2 == 0.0) & (nu1 < 0.0)).any():
         return IntervalUnion.empty()
     pos = nu2 > 0.0
     neg = nu2 < 0.0
-    lo = float(np.max(-nu1[pos] / nu2[pos])) if np.any(pos) else -math.inf
-    hi = float(np.min(-nu1[neg] / nu2[neg])) if np.any(neg) else math.inf
+    lo = float((-nu1[pos] / nu2[pos]).max()) if pos.any() else -math.inf
+    hi = float((-nu1[neg] / nu2[neg]).min()) if neg.any() else math.inf
     if lo > hi:
         return IntervalUnion.empty()
     return IntervalUnion([(lo, hi)])

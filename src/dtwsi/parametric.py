@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dtw_core import AlignmentMatrix, bellman_path, bellman_tables
+from .dtw_core import AlignmentMatrix, _path_cells, bellman_path, bellman_tables
 from .intervals import IntervalUnion, solve_quadratic_leq
 
 __all__ = [
@@ -134,17 +134,17 @@ class PiecewiseEnvelope:
         return (w2 * z + w1) * z + w0
 
 
-def cell_terms(line: DataLine) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-cell loss terms along the line, as three ``n x m`` tables.
+def cell_terms(line: DataLine) -> np.ndarray:
+    """The per-cell loss terms along the line, as a ``(3, n, m)`` stack of tables.
 
     Cell ``(i, j)`` (0-based) costs ``(da + db z)^2`` with ``da = a1[i] - a2[j]``
-    and ``db = b1[i] - b2[j]``; the tables hold its coefficients ``da^2``,
+    and ``db = b1[i] - b2[j]``; the three tables hold its coefficients ``da^2``,
     ``2 da db`` and ``db^2``.  Every path loss along the line is a sum of
     these terms, and every loss computed in this package takes them from here.
     """
     da = np.subtract.outer(line.a1, line.a2)
     db = np.subtract.outer(line.b1, line.b2)
-    return da * da, 2.0 * da * db, db * db
+    return np.array([da * da, 2.0 * da * db, db * db])
 
 
 def quadratic_loss(M: AlignmentMatrix, line: DataLine) -> tuple[float, float, float]:
@@ -169,13 +169,11 @@ def _path_loss(path, terms) -> tuple[float, float, float]:
 
     The ``cell_terms`` tables ``terms`` summed along the path, in path order.
     """
-    m = terms[0].shape[1]
-    cells = np.array([i * m + j for i, j in path]) - (m + 1)  # flat 0-based indices
-    w0 = w1 = w2 = 0.0
-    for t0, t1, t2 in zip(*(t.take(cells).tolist() for t in terms)):
-        w0 += t0
-        w1 += t1
-        w2 += t2
+    rows, cols = _path_cells(path)
+    gathered = np.zeros((3, rows.size + 1))
+    gathered[:, 1:] = terms[:, rows, cols]
+    # a sequential sum from 0.0: a path of -0.0 terms (2 da db at da == 0) sums to 0.0
+    w0, w1, w2 = np.add.accumulate(gathered, axis=1)[:, -1].tolist()
     return w0, w1, w2
 
 
@@ -407,7 +405,7 @@ def _table_envelope(line: DataLine, lo: float, hi: float, terms, usable):
     """
     n, m = line.n, line.m
     # the usable cells in row-major order, each with its three terms
-    cells = zip(np.argwhere(usable).tolist(), zip(*(t[usable].tolist() for t in terms)))
+    cells = zip(np.argwhere(usable).tolist(), zip(*terms[:, usable].tolist()))
     # skipped cells, and cells left without candidates, keep none
     table: list[list[tuple]] = [[()] * m for _ in range(n)]
     for (i, j), (t0, t1, t2) in cells:

@@ -1,4 +1,4 @@
-"""Straightforward versions of three hot loops, kept as references for the tests.
+"""Straightforward versions of the package's loops, kept as references for the tests.
 
 The package runs faster forms of each, which must give the same floats bit
 for bit:
@@ -6,15 +6,17 @@ for bit:
 - the truncated-Gaussian tail and the bisection of ``truncated_gaussian_ci``,
   with one frame per step, the region as an ``IntervalUnion`` and no memo;
 - the envelope walk, without its early exits;
-- the over-conditioned constraints, one row at a time in a per-cell loop.
+- the over-conditioned constraints, one row at a time in a per-cell loop;
+- the per-cell sums along a path: the test direction, a path's loss triple
+  and the split test, each one cell at a time in path order.
 """
 
 import math
 
 import numpy as np
-from scipy.special import log_ndtr
+from scipy.special import log_ndtr, ndtr
 
-from dtwsi.dtw_core import accumulated_cost, bellman_predecessor, cost_matrix
+from dtwsi.dtw_core import _accumulated_cost, bellman_path, bellman_predecessor, cost_matrix
 from dtwsi.inference import RegionMassUnderflowError
 from dtwsi.parametric import (
     MIN_BREAKPOINT_GAP,
@@ -177,7 +179,7 @@ def _minimal_after(kept, z, cands):
 def si_dtw_oc_constraints(pair, line):
     """The over-conditioned rows ``(alpha, beta, gamma)``, appended cell by cell."""
     n, m = pair.n, pair.m
-    table = accumulated_cost(cost_matrix(pair).tolist())
+    table = _accumulated_cost(cost_matrix(pair).tolist())
     t0, t1, t2 = (t.tolist() for t in cell_terms(line))
     q = [[None] * m for _ in range(n)]
     constraints = []
@@ -195,6 +197,73 @@ def si_dtw_oc_constraints(pair, line):
                         p0, p1, p2 = q[pi][pj]
                         constraints.append((c2 - p2, c1 - p1, c0 - p0))
     return constraints
+
+
+def direction_eta(M, s):
+    """``test_direction``'s ``eta``: each cell adds its sign at ``x_i``, subtracts it at ``y_j``."""
+    eta = np.zeros(M.n + M.m)
+    for (i, j), sk in zip(M.path, s):
+        eta[i - 1] += sk
+        eta[M.n + j - 1] -= sk
+    return eta
+
+
+def path_loss(path, terms):
+    """``parametric._path_loss``: the ``cell_terms`` tables summed cell by cell from 0.0."""
+    w0 = w1 = w2 = 0.0
+    for i, j in path:
+        w0 += float(terms[0][i - 1, j - 1])
+        w1 += float(terms[1][i - 1, j - 1])
+        w2 += float(terms[2][i - 1, j - 1])
+    return w0, w1, w2
+
+
+def data_splitting_test(pair):
+    """``baselines.data_splitting_test`` with its statistic and direction built cell by cell."""
+    x_inf, y_inf = pair.x[1::2], pair.y[1::2]
+    n_inf, m_inf = x_inf.size, y_inf.size
+    path, _ = bellman_path(pair.x[0::2], pair.y[0::2])
+    eta = np.zeros(n_inf + m_inf)
+    stat = 0.0
+    for i, j in path:
+        i2 = min(i, n_inf) - 1
+        j2 = min(j, m_inf) - 1
+        d = x_inf[i2] - y_inf[j2]
+        s = math.copysign(1.0, d) if d != 0.0 else 0.0
+        eta[i2] += s
+        eta[n_inf + j2] -= s
+        stat += abs(d)
+    sub_x = pair.sigma_x[1::2, 1::2]
+    sub_y = pair.sigma_y[1::2, 1::2]
+    var = float(eta[:n_inf] @ sub_x @ eta[:n_inf] + eta[n_inf:] @ sub_y @ eta[n_inf:])
+    if var == 0.0:
+        return 0.5 if stat == 0.0 else 0.0
+    return float(ndtr(-stat / math.sqrt(var)))
+
+
+def zero_rich_data(rng, size, kind):
+    """Normal data, raw (kind 0) or rounded to 0.1 (1) or to integers (2); a fifth or so ``+-0.0``.
+
+    Rounding makes equal entries, so zero differences and Bellman ties; the
+    zeros carry both signs, so ``-0.0`` terms occur.
+    """
+    v = rng.normal(size=size)
+    if kind:
+        v = np.round(v, 2 - kind)
+    zeros = rng.random(size) < 0.2
+    v[zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return v
+
+
+def random_path(rng, n, m):
+    """A 1-based monotone path from ``(1, 1)`` to ``(n, m)``, each legal step equally likely."""
+    path = [(1, 1)]
+    while path[-1] != (n, m):
+        i, j = path[-1]
+        steps = [(di, dj) for di, dj in ((1, 1), (1, 0), (0, 1)) if i + di <= n and j + dj <= m]
+        di, dj = steps[rng.integers(len(steps))]
+        path.append((i + di, j + dj))
+    return tuple(path)
 
 
 def hex_outcome(call, *args):

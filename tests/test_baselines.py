@@ -8,15 +8,16 @@ import pytest
 
 from dtwsi import baselines, dtw_core, inference
 from dtwsi.baselines import (
+    _si_dtw_oc_constraints,
     data_splitting_test,
     permutation_test,
-    si_dtw_oc_constraints,
     si_dtw_oc_p_value,
     si_dtw_oc_region,
 )
 from dtwsi.dtw_core import (
     TimeSeriesPair,
-    accumulated_cost,
+    _accumulated_cost,
+    bellman_path,
     bellman_predecessor,
     cost_matrix,
     dtw,
@@ -42,7 +43,7 @@ INF = math.inf
 class QuadraticConstraint:
     """A constraint ``w' A w <= 0`` on the stacked data vector ``w``.
 
-    The dense reference for ``si_dtw_oc_constraints``: ``A`` is symmetric, and
+    The dense reference for ``_si_dtw_oc_constraints``: ``A`` is symmetric, and
     restricted to a line ``w = a + b z`` the constraint becomes
     ``(b'Ab) z^2 + (2 a'Ab) z + (a'Aa) <= 0``.
     """
@@ -86,8 +87,8 @@ def observed_line(pair):
 
 
 def bellman_table(pair):
-    """The pair's Bellman table, the input of ``si_dtw_oc_constraints``."""
-    return accumulated_cost(cost_matrix(pair).tolist())
+    """The pair's Bellman table, the input of ``_si_dtw_oc_constraints``."""
+    return _accumulated_cost(cost_matrix(pair).tolist())
 
 
 class TestSolveQuadraticLeq:
@@ -207,7 +208,7 @@ class TestQuadraticSystem:
                 x, y = np.round(x, decimals), np.round(y, decimals)
             pair = TimeSeriesPair(x, y)
             _, _, line = observed_line(pair)
-            constraints = si_dtw_oc_constraints(bellman_table(pair), line)
+            constraints = _si_dtw_oc_constraints(bellman_table(pair), line)
             want = hex_pieces(sequential_solution(constraints))
             assert hex_pieces(si_dtw_oc_region(pair, line)) == want
             # the pipeline's builder reads the table conditioning solved
@@ -232,7 +233,7 @@ class TestOcConstraintRows:
                 _, _, line = observed_line(pair)
             except DegenerateDirectionError:
                 continue
-            rows = si_dtw_oc_constraints(bellman_table(pair), line)
+            rows = _si_dtw_oc_constraints(bellman_table(pair), line)
             want = oracles.si_dtw_oc_constraints(pair, line)
             assert rows.shape == (len(want), 3)
             assert [[v.hex() for v in row] for row in rows.tolist()] == [
@@ -244,7 +245,7 @@ class TestOcConstraintRows:
         rng = np.random.default_rng(35)
         pair = TimeSeriesPair(rng.normal(size=n), rng.normal(size=m))
         _, _, line = observed_line(pair)
-        assert si_dtw_oc_constraints(bellman_table(pair), line).shape == (0, 3)
+        assert _si_dtw_oc_constraints(bellman_table(pair), line).shape == (0, 3)
         assert si_dtw_oc_region(pair, line) == IntervalUnion.real_line()
 
     def test_table_that_does_not_fit_the_line_is_rejected(self):
@@ -253,7 +254,7 @@ class TestOcConstraintRows:
         for n in (2, 4):
             table = bellman_table(TimeSeriesPair(rng.normal(size=n), rng.normal(size=4)))
             with pytest.raises(ValueError, match=rf"table is {n}x4 but line splits 3\+4"):
-                si_dtw_oc_constraints(table, line)
+                _si_dtw_oc_constraints(table, line)
         with pytest.raises(ValueError, match=r"table is 5x4 but line splits 3\+4"):
             si_dtw_oc_region(TimeSeriesPair(rng.normal(size=5), rng.normal(size=4)), line)
 
@@ -270,7 +271,7 @@ class TestQuadraticConstraint:
         pair = TimeSeriesPair(rng.normal(size=4), rng.normal(size=4))
         M, d, line = observed_line(pair)
         table = bellman_table(pair)
-        poly = si_dtw_oc_constraints(table, line)
+        poly = _si_dtw_oc_constraints(table, line)
         # rebuild each constraint densely from the observed sub-paths
         paths = {(0, 0): ((1, 1),)}
         for i in range(4):
@@ -415,7 +416,7 @@ class TestOcPValue:
         rng = np.random.default_rng(11)
         pair = TimeSeriesPair(rng.normal(size=4), rng.normal(size=4))
         M, d, line = observed_line(pair)
-        constraints = si_dtw_oc_constraints(bellman_table(pair), line)
+        constraints = _si_dtw_oc_constraints(bellman_table(pair), line)
         forward = IntervalUnion.real_line()
         for c in constraints:
             forward = forward.intersect(solve_quadratic_leq(*c))
@@ -482,7 +483,7 @@ class TestPermutation:
             want = reference_permutation_test(pair, 200, seed)
             with monkeypatch.context() as patch:
                 patch.setattr(baselines, "bellman_path", no_scalar_solve)
-                patch.setattr(dtw_core, "accumulated_cost", no_scalar_solve)
+                patch.setattr(dtw_core, "_accumulated_cost", no_scalar_solve)
                 assert permutation_test(pair, 200, seed) == want
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
@@ -517,3 +518,28 @@ class TestDataSplitting:
     def test_short_series_rejected(self):
         with pytest.raises(ValueError):
             data_splitting_test(TimeSeriesPair([1.0], [1.0, 2.0]))
+
+    def test_matches_per_cell_loop(self):
+        """Hex-equal to the per-cell loop, 1 x m and n x 1 selection paths among the cases."""
+        rng = np.random.default_rng(32)
+        seen = set()
+        for k in range(400):
+            n, m = (int(v) for v in rng.integers(2, 13, size=2))
+            n, m = (2 if k % 5 == 0 else n), (2 if k % 5 == 1 else m)
+            pair = TimeSeriesPair(
+                oracles.zero_rich_data(rng, n, k % 3), oracles.zero_rich_data(rng, m, k % 3)
+            )
+            assert data_splitting_test(pair).hex() == oracles.data_splitting_test(pair).hex()
+            path, table = bellman_path(pair.x[0::2], pair.y[0::2])
+            x_inf, y_inf = pair.x[1::2], pair.y[1::2]
+            d = [x_inf[min(i, x_inf.size) - 1] - y_inf[min(j, y_inf.size) - 1] for i, j in path]
+            if 0.0 in d:
+                seen.add("zero sign")
+            for i, j in path[1:]:
+                if i > 1 and j > 1:
+                    preds = sorted([table[i - 2][j - 2], table[i - 2][j - 1], table[i - 1][j - 2]])
+                    if preds[0] == preds[1]:
+                        seen.add("Bellman tie")
+            if k % 3 == 0 and len(path) >= 8:  # where numpy's pairwise sum leaves path order
+                seen.add("raw path of 8 cells or more")
+        assert seen == {"zero sign", "Bellman tie", "raw path of 8 cells or more"}

@@ -7,11 +7,11 @@ from hypothesis import given, settings, strategies as st
 from dtwsi.dtw_core import (
     AlignmentMatrix,
     TimeSeriesPair,
-    accumulated_cost,
+    _accumulated_cost,
+    _bellman_wavefront,
     bellman_abs_sums,
     bellman_path,
     bellman_tables,
-    bellman_wavefront,
     cost_matrix,
     delannoy,
     dtw,
@@ -22,6 +22,7 @@ from dtwsi.dtw_core import (
 from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.dtw_core import test_statistic as statistic_of
 from dense_views import abs_alignment_statistic, omega_matrix, path_cost, path_vec, scatter_path
+import oracles
 
 
 def brute_force_distance(pair):
@@ -410,23 +411,23 @@ class TestBellmanAbsSums:
 
 
 def wavefront_tables(costs):
-    """``bellman_wavefront`` on an ``(n, m, rows)`` stack of costs, as per-row nested lists of hex."""
+    """``_bellman_wavefront`` on an ``(n, m, rows)`` stack of costs, as per-row nested lists of hex."""
     n, m, rows = costs.shape
 
     def diagonal(k, lo, hi):
         i = np.arange(lo, hi + 1)
         return costs[i, k - i]
 
-    table = bellman_wavefront(diagonal, n, m, rows)
+    table = _bellman_wavefront(diagonal, n, m, rows)
     i, j = np.indices((n, m))
     cells = table[i + j + 2, i + 1]  # (n, m, rows)
     return [[[v.hex() for v in row] for row in cells[:, :, r].tolist()] for r in range(rows)]
 
 
 def scalar_tables(costs):
-    """``accumulated_cost`` of each row of an ``(n, m, rows)`` stack of costs, as hex."""
+    """``_accumulated_cost`` of each row of an ``(n, m, rows)`` stack of costs, as hex."""
     return [
-        [[v.hex() for v in row] for row in accumulated_cost(costs[:, :, r].tolist())]
+        [[v.hex() for v in row] for row in _accumulated_cost(costs[:, :, r].tolist())]
         for r in range(costs.shape[2])
     ]
 
@@ -532,6 +533,20 @@ class TestPathDifferences:
                 scatter_path(M, path_differences(M, v)), path_vec(M) * dense
             )
 
+    def test_stack_gives_each_vector_its_row(self):
+        M = AlignmentMatrix(3, 2, ((1, 1), (2, 1), (3, 2)))
+        vs = np.random.default_rng(4).normal(size=(2, 5))
+        got = path_differences(M, vs)
+        assert got.shape == (2, 3)
+        for row, v in zip(got, vs):
+            assert row.tolist() == path_differences(M, v).tolist()
+
+    @pytest.mark.parametrize("size", [3, 7])
+    def test_wrong_length_rejected(self, size):
+        M = AlignmentMatrix(2, 2, ((1, 1), (2, 2)))
+        with pytest.raises(ValueError, match=rf"n \+ m = 4, got shape \({size},\)"):
+            path_differences(M, np.zeros(size))
+
 
 class TestSignVector:
     def test_hand_case(self):
@@ -572,6 +587,24 @@ class TestTestDirection:
             s = sign_vector(M, pair)
             dense = (path_vec(M) @ np.diag(scatter_path(M, s)) @ omega_matrix(pair.n, pair.m)).T
             assert np.array_equal(direction_of(M, s).eta, dense)
+
+    def test_matches_per_cell_loop(self):
+        """Hex-equal to the per-cell loop on random paths, 1 x m and n x 1 among them."""
+        rng = np.random.default_rng(30)
+        seen = set()
+        for k in range(300):
+            n, m = (int(v) for v in rng.integers(1, 13, size=2))
+            n, m = (1 if k % 5 == 0 else n), (1 if k % 5 == 1 else m)
+            M = AlignmentMatrix(n, m, oracles.random_path(rng, n, m))
+            s = np.sign(path_differences(M, oracles.zero_rich_data(rng, n + m, k % 3)))
+            eta = direction_of(M, s).eta
+            want = oracles.direction_eta(M, s)
+            assert [v.hex() for v in eta.tolist()] == [v.hex() for v in want.tolist()]
+            if (s == 0.0).any():
+                seen.add("zero sign")
+            if ((eta == 0.0) & (oracles.direction_eta(M, np.abs(s)) != 0.0)).any():
+                seen.add("signs that cancel")
+        assert seen == {"zero sign", "signs that cancel"}
 
     def test_length_mismatch(self):
         M = AlignmentMatrix(2, 2, ((1, 1), (2, 2)))

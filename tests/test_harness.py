@@ -308,7 +308,7 @@ class TestSharedConditioning:
         # the pair's Bellman table is solved once per trial, however many
         # methods finish on it: count the scalar solves of the trial's own
         # cost matrix, bit for bit
-        pairs, generate, solve = [], harness.generate_pair, dtw_core.accumulated_cost
+        pairs, generate, solve = [], harness.generate_pair, dtw_core._accumulated_cost
 
         def recording(config, t):
             pairs.append(generate(config, t))
@@ -320,7 +320,7 @@ class TestSharedConditioning:
             calls["bellman_solve"] += np.asarray(cost).tobytes() == cost_matrix(pairs[-1]).tobytes()
             return solve(cost)
 
-        monkeypatch.setattr(dtw_core, "accumulated_cost", counting_solve)
+        monkeypatch.setattr(dtw_core, "_accumulated_cost", counting_solve)
         method = "si-dtw" if runner == "ci" else runner
         cfg = ExperimentConfig(method=method, n=6, m=6, delta=1.0, trials=7, seed=4)
         rep = run_ci(cfg) if runner == "ci" else run_fpr(cfg)

@@ -14,7 +14,7 @@ from dtwsi.baselines import si_dtw_oc_p_value
 from dtwsi.dtw_core import (
     AlignmentMatrix,
     TimeSeriesPair,
-    accumulated_cost,
+    _accumulated_cost,
     bellman_predecessor,
     cost_matrix,
     dtw,
@@ -390,7 +390,7 @@ class TestSelectivePValue:
         assert np.array_equal(line.b, data_line.b)
         assert window == z2_region(line, M, sign_vector(M, pair))
         # the pair's Bellman table, bit for bit, and M_obs is its traceback
-        want = accumulated_cost(cost_matrix(pair).tolist())
+        want = _accumulated_cost(cost_matrix(pair).tolist())
         assert [[v.hex() for v in row] for row in cond.table] == [
             [v.hex() for v in row] for row in want
         ]

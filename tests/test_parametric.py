@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dtwsi import parametric
-from dtwsi.dtw_core import TimeSeriesPair, accumulated_cost, cost_matrix, dtw, enumerate_alignments
+from dtwsi.dtw_core import TimeSeriesPair, _accumulated_cost, cost_matrix, dtw, enumerate_alignments
 from dtwsi.harness import ExperimentConfig, generate_pair
 from dtwsi.inference import conditional_test, selective_p_value
 from dtwsi.intervals import IntervalUnion
@@ -72,6 +72,36 @@ class TestLossTriple:
                 pair = TimeSeriesPair(line.a1 + line.b1 * z, line.a2 + line.b2 * z)
                 direct = path_cost(M, cost_matrix(pair))
                 assert abs(loss_at(q, z) - direct) < 1e-9 * max(1.0, direct)
+
+    def test_matches_per_cell_loop(self):
+        """Hex-equal to the per-cell loop on random paths, 1 x m and n x 1 among them."""
+        rng = np.random.default_rng(31)
+        seen = set()
+        for k in range(400):
+            n, m = (int(v) for v in rng.integers(1, 13, size=2))
+            n, m = (1 if k % 5 == 0 else n), (1 if k % 5 == 1 else m)
+            a = oracles.zero_rich_data(rng, n + m, k % 3)
+            b = oracles.zero_rich_data(rng, n + m, k // 3 % 3)
+            terms = cell_terms(DataLine(a, b, n))
+            path = oracles.random_path(rng, n, m)
+            got, want = parametric._path_loss(path, terms), oracles.path_loss(path, terms)
+            assert [w.hex() for w in got] == [w.hex() for w in want]
+            negative_zero = [t == 0.0 and math.copysign(1.0, t) < 0.0 for t in
+                             (terms[1][i - 1, j - 1] for i, j in path)]
+            if any(negative_zero):
+                seen.add("-0.0 term")
+            if all(negative_zero):
+                seen.add("only -0.0 terms")
+        assert seen == {"-0.0 term", "only -0.0 terms"}
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 3), (3, 1)])
+    def test_negative_zero_terms_sum_to_positive_zero(self, n, m):
+        # da == 0 and db < 0 at every cell: each w1 term 2 da db is -0.0
+        b = np.concatenate([-np.ones(n), np.ones(m)])
+        terms = cell_terms(DataLine(np.zeros(n + m), b, n))
+        path = tuple((min(k, n), min(k, m)) for k in range(1, max(n, m) + 1))
+        assert all(math.copysign(1.0, terms[1][i - 1, j - 1]) < 0.0 for i, j in path)
+        assert parametric._path_loss(path, terms)[1].hex() == "0x0.0p+0"
 
     def test_line_checks(self):
         with pytest.raises(ValueError, match="1-d vectors of equal length"):
@@ -753,7 +783,7 @@ class TestSubWindowBound:
 
         def scalar_tables(costs):
             return np.stack(
-                [accumulated_cost(costs[:, :, r].tolist()) for r in range(costs.shape[2])], axis=-1
+                [_accumulated_cost(costs[:, :, r].tolist()) for r in range(costs.shape[2])], axis=-1
             )
 
         monkeypatch.setattr(parametric, "bellman_tables", scalar_tables)
