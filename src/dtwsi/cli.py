@@ -185,7 +185,7 @@ def check_envelope(line: DataLine, alignments):
     lo, hi = (min(finite) - 5.0, max(finite) + 5.0) if finite else (-10.0, 10.0)
     zs = np.concatenate([np.linspace(-20.0, 20.0, 200), np.linspace(lo, hi, 500)])
     terms = cell_terms(line)
-    w0, w1, w2 = np.array([_path_loss(A.path, terms) for A in alignments]).T[:, :, None]
+    w0, w1, w2 = np.array([_path_loss(A._cells, terms) for A in alignments]).T[:, :, None]
     # a block of grid points at a time: at most about 2^20 losses in memory
     step = max(1, 2**20 // len(alignments))
     blocks = [zs[k : k + step] for k in range(0, zs.size, step)]

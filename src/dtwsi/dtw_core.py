@@ -9,7 +9,7 @@ pattern holds one entry per path cell, in path order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 import numpy as np
@@ -150,6 +150,11 @@ class AlignmentMatrix:
         for (i0, j0), (i1, j1) in zip(self.path, self.path[1:]):
             if (i1 - i0, j1 - j0) not in ((1, 0), (0, 1), (1, 1)):
                 raise ValueError(f"illegal step {(i0, j0)} -> {(i1, j1)}")
+
+    @cached_property
+    def _cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """``_path_cells`` of the path, computed on first use and kept."""
+        return _path_cells(self.path)
 
 
 @dataclass(frozen=True)
@@ -445,13 +450,14 @@ def dtw(pair: TimeSeriesPair) -> tuple[AlignmentMatrix, float]:
 
 
 def _path_cells(path) -> tuple[np.ndarray, np.ndarray]:
-    """0-based row and column indices of a 1-based path's cells, in path order.
+    """0-based row and column indices of a 1-based path's cells, in path order, read-only.
 
     The one place a path becomes array indices: every per-cell gather or sum
     over a path (aligned differences, test direction, loss, split test)
     starts here.
     """
     flat = np.fromiter(chain.from_iterable(path), np.intp, 2 * len(path)) - 1
+    flat.flags.writeable = False  # an alignment shares its own with every caller
     return flat[0::2], flat[1::2]
 
 
@@ -464,7 +470,7 @@ def path_differences(M: AlignmentMatrix, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape[-1:] != (M.n + M.m,):
         raise ValueError(f"vector must have length n + m = {M.n + M.m}, got shape {v.shape}")
-    rows, cols = _path_cells(M.path)
+    rows, cols = M._cells
     return v[..., rows] - v[..., M.n + cols]
 
 
@@ -486,7 +492,7 @@ def test_direction(M: AlignmentMatrix, s: np.ndarray) -> TestDirection:
     s = np.asarray(s, dtype=float)
     if s.shape != (len(M.path),):
         raise ValueError(f"sign vector must have length {len(M.path)}, got {s.shape}")
-    rows, cols = _path_cells(M.path)
+    rows, cols = M._cells
     size = M.n + M.m
     # signs are +-1 or 0, so every sum is exact whatever the order of its terms
     eta = np.bincount(rows, s, size) - np.bincount(M.n + cols, s, size)

@@ -135,6 +135,19 @@ class IntervalUnion:
         return IntervalUnion(out)
 
 
+def _real_roots(alpha: float, beta: float, gamma: float, disc: float) -> tuple[float, float]:
+    """Roots ``r1 <= r2`` of ``alpha z^2 + beta z + gamma``, whose discriminant is ``disc >= 0``.
+
+    The stable formula, stated once (``solve_quadratic_system`` has it on arrays):
+    ``q = -(beta + sqrt(disc)) / 2``, or ``-(beta - sqrt(disc)) / 2`` when ``beta < 0`` (not
+    ``-0.0``); the roots are ``q / alpha`` and ``gamma / q``, or 0 and ``-beta / alpha`` if q is 0.
+    """
+    sq = math.sqrt(disc)
+    q = -0.5 * (beta + sq) if beta >= 0.0 else -0.5 * (beta - sq)
+    r1, r2 = (q / alpha, gamma / q) if q != 0.0 else (0.0, -beta / alpha)
+    return (r2, r1) if r1 > r2 else (r1, r2)
+
+
 def solve_quadratic_leq(alpha: float, beta: float, gamma: float) -> IntervalUnion:
     """Solution set of ``alpha z^2 + beta z + gamma <= 0`` in closed form.
 
@@ -154,14 +167,7 @@ def solve_quadratic_leq(alpha: float, beta: float, gamma: float) -> IntervalUnio
     disc = beta * beta - 4.0 * alpha * gamma
     if disc < 0.0:
         return IntervalUnion.empty() if alpha > 0.0 else IntervalUnion.real_line()
-    sq = math.sqrt(disc)
-    q = -0.5 * (beta + sq) if beta >= 0.0 else -0.5 * (beta - sq)
-    if q != 0.0:
-        r1, r2 = q / alpha, gamma / q
-    else:
-        r1, r2 = 0.0, -beta / alpha
-    if r1 > r2:
-        r1, r2 = r2, r1
+    r1, r2 = _real_roots(alpha, beta, gamma, disc)
     if alpha > 0.0:
         return IntervalUnion([(r1, r2)])
     return IntervalUnion([(-math.inf, r1), (r2, math.inf)])
@@ -170,56 +176,55 @@ def solve_quadratic_leq(alpha: float, beta: float, gamma: float) -> IntervalUnio
 def solve_quadratic_system(constraints) -> IntervalUnion:
     """Common solution set of ``alpha z^2 + beta z + gamma <= 0`` for every row.
 
-    ``constraints`` holds ``(alpha, beta, gamma)`` rows.  Each row's set is
-    the one ``solve_quadratic_leq`` returns, from the same root formula and
-    the same ``CURVATURE_SNAP``, and the result equals their intersection
-    taken one row at a time, endpoint for endpoint.  Linear and convex rows
-    bound one interval ``[start, stop]``; concave rows with two distinct
-    roots punch open holes ``(r1, r2)`` in it, removed in one sorted sweep.
-    A point between two touching holes survives.
+    ``constraints`` is a ``(k, 3)`` array of ``(alpha, beta, gamma)`` rows, or
+    empty.  Each row's set is the one ``solve_quadratic_leq`` returns, from the
+    same root formula and the same ``CURVATURE_SNAP``, and the result equals
+    their intersection taken one row at a time, endpoint for endpoint.  So a
+    row whose set has a NaN end raises ``ValueError``, as does any other shape.
+    Linear and convex rows bound one interval ``[start, stop]``; concave rows
+    with two distinct roots punch open holes ``(h1, h2)`` in it, and so does
+    ``(stop, inf)``.  Sorted by ``h1``, the holes' running maximum end, seeded
+    with ``start``, is the frontier covered so far: a piece ``[frontier, h1]``
+    opens wherever a hole starts at or past it, so touching holes keep a point.
     """
-    alpha, beta, gamma = np.asarray(constraints, dtype=float).reshape(-1, 3).T
-    scale = np.maximum(1.0, np.maximum(np.abs(beta), np.abs(gamma)))
-    linear = np.abs(alpha) <= CURVATURE_SNAP * scale
+    rows = np.asarray(constraints, dtype=float)
+    if rows.shape != (0,) and (rows.ndim != 2 or rows.shape[1] != 3):
+        raise ValueError(f"constraints must be (k, 3) rows (alpha, beta, gamma), not {rows.shape}")
+    # contiguous columns: on a few hundred rows each numpy call costs less
+    alpha, beta, gamma = rows.reshape(-1, 3).T.copy()
+    # fmax skips NaN, as max() does in solve_quadratic_leq
+    linear = np.abs(alpha) <= CURVATURE_SNAP * np.fmax(1.0, np.fmax(np.abs(beta), np.abs(gamma)))
     disc = beta * beta - 4.0 * alpha * gamma
-    real = ~linear & (disc >= 0.0)
-    if np.any(linear & (beta == 0.0) & (gamma > 0.0)) or np.any(~linear & ~real & (alpha > 0.0)):
-        return IntervalUnion.empty()
+    solved = ~(linear | (disc < 0.0))  # a NaN discriminant is solved, to NaN roots
+    # roots of rows not solved are noise (a NaN sqrt, a division by zero): each use is masked
     with np.errstate(divide="ignore", invalid="ignore"):
-        sq = np.sqrt(np.where(real, disc, 0.0))
-        q = np.where(beta >= 0.0, -0.5 * (beta + sq), -0.5 * (beta - sq))
-        r1 = np.where(q != 0.0, q / alpha, 0.0)
-        r2 = np.where(q != 0.0, gamma / q, -beta / alpha)
         root = -gamma / beta
-    r1, r2 = np.where(r1 > r2, r2, r1), np.where(r1 > r2, r1, r2)
-    convex = real & (alpha > 0.0)
-    holes = real & (alpha < 0.0) & (r1 < r2)
+        sq = np.sqrt(disc)
+        q = -0.5 * (beta + np.where(beta >= 0.0, sq, -sq))
+        nonzero = q != 0.0
+        r1 = np.where(nonzero, q / alpha, 0.0)
+        r2 = np.where(nonzero, gamma / q, -beta / alpha)
+    swap = r1 > r2
+    r1, r2 = np.where(swap, r2, r1), np.where(swap, r1, r2)
+    bad = np.where(linear, (beta != 0.0) & np.isnan(root), solved & (np.isnan(r1) | np.isnan(r2)))
+    if bad.any():
+        raise ValueError(f"constraint row {int(np.argmax(bad))} has a NaN root")
+    if np.where(linear, (beta == 0.0) & ~(gamma <= 0.0), ~solved & (alpha > 0.0)).any():
+        return IntervalUnion.empty()
+    convex = solved & (alpha > 0.0)
+    holes = solved & (alpha < 0.0) & (r1 < r2)
     lows = np.where(linear & (beta < 0.0), root, np.where(convex, r1, -math.inf))
     highs = np.where(linear & (beta > 0.0), root, np.where(convex, r2, math.inf))
-    start = float(lows.max(initial=-math.inf))
-    stop = float(highs.min(initial=math.inf))
-    pieces = []
-    for h1, h2 in sorted(zip(r1[holes].tolist(), r2[holes].tolist())):
-        if h1 >= stop:
-            break
-        if h1 >= start:
-            pieces.append((start, h1))
-            start = h2
-        elif h2 > start:
-            start = h2
-    if start <= stop:
-        pieces.append((start, stop))
-    # a piece starts at a lower bound or where a hole ends, and stops likewise
-    lows, highs = np.where(holes, r2, lows), np.where(holes, r1, highs)
-    return IntervalUnion((_first_zero(lo, lows), _first_zero(hi, highs)) for lo, hi in pieces)
-
-
-def _first_zero(end: float, ends: np.ndarray) -> float:
-    """``end``, with the sign a zero end gets from a one-row-at-a-time intersection.
-
-    Intersecting keeps the earlier of two equal endpoints, so a zero end
-    carries the sign of the first row that has an end there.
-    """
-    if end != 0.0:
-        return end
-    return float(ends[np.flatnonzero(ends == 0.0)[0]])
+    start, stop = lows.max(initial=-math.inf), highs.min(initial=math.inf)
+    h1, h2 = np.concatenate((r1[holes], [stop])), np.concatenate((r2[holes], [math.inf]))
+    order = np.argsort(h1)
+    h1, frontier = h1[order], np.maximum.accumulate(np.concatenate(([start], h2[order])))[:-1]
+    opens = h1 >= frontier
+    pieces = list(zip(frontier[opens].tolist(), h1[opens].tolist()))
+    if any(0.0 in piece for piece in pieces):
+        # one row at a time, a zero end keeps the sign of the first row with an end there:
+        # a piece starts at a lower bound or a hole's end, and stops at an upper bound or its start
+        starts, stops = np.where(holes, r2, lows), np.where(holes, r1, highs)
+        lo0, hi0 = (float(ends[np.argmax(ends == 0.0)]) for ends in (starts, stops))
+        pieces = [(lo or lo0, hi or hi0) for lo, hi in pieces]  # 0.0 and -0.0 are false
+    return IntervalUnion(pieces)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dtw_core import AlignmentMatrix, _path_cells, bellman_path, bellman_tables
-from .intervals import IntervalUnion, solve_quadratic_leq
+from .intervals import IntervalUnion, _real_roots, solve_quadratic_leq
 
 __all__ = [
     "DataLine",
@@ -154,7 +154,7 @@ def quadratic_loss(M: AlignmentMatrix, line: DataLine) -> tuple[float, float, fl
     the incremental table recursion agree bit for bit.
     """
     _check_split(M, line)
-    return _path_loss(M.path, cell_terms(line))
+    return _path_loss(M._cells, cell_terms(line))
 
 
 def _check_split(M: AlignmentMatrix, line: DataLine) -> None:
@@ -164,12 +164,12 @@ def _check_split(M: AlignmentMatrix, line: DataLine) -> None:
         )
 
 
-def _path_loss(path, terms) -> tuple[float, float, float]:
-    """Loss triple ``(w0, w1, w2)`` of a 1-based path: ``w0 + w1 z + w2 z^2``.
+def _path_loss(cells, terms) -> tuple[float, float, float]:
+    """Loss triple ``(w0, w1, w2)`` of a path given by its ``_path_cells``: ``w0 + w1 z + w2 z^2``.
 
     The ``cell_terms`` tables ``terms`` summed along the path, in path order.
     """
-    rows, cols = _path_cells(path)
+    rows, cols = cells
     gathered = np.zeros((3, rows.size + 1))
     gathered[:, 1:] = terms[:, rows, cols]
     # a sequential sum from 0.0: a path of -0.0 terms (2 da db at da == 0) sums to 0.0
@@ -187,7 +187,7 @@ def _optimal_at(
     use the result as a bound; it is exact only at ``z`` and up to roundoff.
     """
     path, _ = bellman_path(line.a1 + line.b1 * z, line.a2 + line.b2 * z)
-    return path, _path_loss(path, terms)
+    return path, _path_loss(_path_cells(path), terms)
 
 
 def _crossing_root(d2: float, d1: float, d0: float, z: float) -> float:
@@ -205,13 +205,7 @@ def _crossing_root(d2: float, d1: float, d0: float, z: float) -> float:
     disc = d1 * d1 - 4.0 * d2 * d0
     if disc <= TANGENCY_TOL:
         return math.inf
-    sq = math.sqrt(disc)
-    # disc > TANGENCY_TOL, so |q| >= sq / 2 > 0
-    q = -0.5 * (d1 + sq) if d1 >= 0.0 else -0.5 * (d1 - sq)
-    ra = q / d2
-    rb = d0 / q
-    if ra > rb:
-        ra, rb = rb, ra
+    ra, rb = _real_roots(d2, d1, d0, disc)
     r = rb if d2 > 0.0 else ra
     return r if r > z else math.inf
 
@@ -364,7 +358,7 @@ def envelope_bruteforce(candidates, line: DataLine) -> PiecewiseEnvelope:
     cands = []
     for M in candidates:
         _check_split(M, line)
-        cands.append((M.path, *_path_loss(M.path, terms)))
+        cands.append((M.path, *_path_loss(M._cells, terms)))
     bps, order = _walk_envelope(cands)
     return _envelope(bps, [cands[k] for k in order], line.n, line.m)
 
@@ -547,7 +541,7 @@ def si_dtw_region(
         return window
     (bounds,) = window.intervals
     terms = cell_terms(line)
-    w_obs = o0, o1, o2 = _path_loss(M_obs.path, terms)
+    w_obs = o0, o1, o2 = _path_loss(M_obs._cells, terms)
     slack = WITNESS_SLACK * (1.0 + (o2 * t_obs + o1) * t_obs + o0)
     lo, hi = bounds
     known = [w_obs]

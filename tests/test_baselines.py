@@ -31,8 +31,13 @@ from dtwsi.inference import (
     selective_p_value,
     z2_region,
 )
-from dtwsi.intervals import IntervalUnion, solve_quadratic_leq, solve_quadratic_system
-from dtwsi.parametric import DataLine, quadratic_loss
+from dtwsi.intervals import (
+    CURVATURE_SNAP,
+    IntervalUnion,
+    solve_quadratic_leq,
+    solve_quadratic_system,
+)
+from dtwsi.parametric import TANGENCY_TOL, DataLine, _crossing_root, quadratic_loss
 from dense_views import abs_alignment_statistic, path_cost
 import oracles
 
@@ -130,6 +135,37 @@ class TestSolveQuadraticLeq:
         region = solve_quadratic_leq(1e-15, 2.0, -4.0)
         assert region.intervals == ((-INF, 2.0),)
 
+    def test_crossing_root_shares_the_roots(self):
+        # one root formula: the envelope's crossings are the ends the solver
+        # returns, and the system's array form returns them too
+        rng = np.random.default_rng(38)
+        compared = dict.fromkeys((0, 1, 3), 0)
+        for k in range(2000):
+            kind = k % 4
+            if kind == 0:
+                a, b, c = rng.normal(size=3)
+            elif kind == 1:  # beta = +-0.0
+                (a, c), b = rng.normal(size=2), float(rng.choice([0.0, -0.0]))
+            elif kind == 2:  # a double root, disc = 0 exactly: beta = -0.0 when a > 0 and r = 0
+                a = float(rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0]))
+                r = int(rng.integers(-8, 9)) / 4.0
+                b, c = -2.0 * a * r, a * r * r
+            else:  # coefficients near 1e-150, 1 and 1e150
+                a, b, c = rng.normal(size=3) * 10.0 ** rng.choice([-150, 0, 150], size=3)
+            a, b, c = float(a), float(b), float(c)
+            region = solve_quadratic_leq(a, b, c)
+            assert hex_pieces(region) == hex_pieces(solve_quadratic_system([(a, b, c)]))
+            cross = _crossing_root(a, b, c, -INF)
+            if b * b - 4.0 * a * c <= TANGENCY_TOL:  # every double root, among others
+                assert cross == INF
+                continue
+            assert kind != 2
+            if abs(a) > CURVATURE_SNAP * max(1.0, abs(b), abs(c)) and len(region) == 1 + (a < 0):
+                # a > 0: [r1, r2], crossed at r2; a < 0: (-inf, r1] u [r2, inf), crossed at r1
+                assert cross.hex() == region.intervals[0][1].hex()
+                compared[kind] += 1
+        assert min(compared[0], compared[1], compared[3]) >= 100
+
 
 def sequential_solution(constraints):
     """The common solution set, one ``solve_quadratic_leq`` intersection at a time."""
@@ -167,6 +203,9 @@ HAND_MADE = {
     "holes outside [L, U]": BOX + holes((-3.0, -2.0), (-1.0, 0.5), (3.5, 5.0), (6.0, 7.0)),
     "hole covering [L, U]": BOX + holes((-1.0, 5.0)),
     "holes without bounds": holes((1.0, 2.0), (2.0, 3.0), (-5.0, -4.0)),
+    "holes sharing a start": BOX
+    + holes((1.0, 2.0), (1.0, 3.0), (1.0, 1.5), (-1.0, 0.5), (-1.0, 0.25), (3.5, 3.75), (3.5, 3.6)),
+    "NaN offset on a flat row": BOX + [(-1e-20, 0.0, math.nan)],
 }
 
 
@@ -181,6 +220,33 @@ class TestQuadraticSystem:
     def test_touching_holes_keep_their_common_point(self):
         region = solve_quadratic_system(HAND_MADE["touching holes"])
         assert region.intervals == ((0.0, 1.0), (2.0, 2.0), (3.0, 4.0))
+
+    def test_holes_sharing_a_start_open_one_piece(self):
+        region = solve_quadratic_system(HAND_MADE["holes sharing a start"])
+        assert region.intervals == ((0.5, 1.0), (3.0, 3.5), (3.75, 4.0))
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1.0, -4.0, 0.0), (math.nan, 0.0, 0.0)],  # NaN curvature
+            [(1.0, -4.0, 0.0), (0.0, math.nan, 0.0)],  # linear, NaN slope
+            [(1.0, -4.0, 0.0), (0.0, math.inf, math.inf)],  # linear root inf / inf
+            [(1.0, -4.0, 0.0), (1.0, math.inf, math.inf)],  # discriminant inf - inf
+            [(0.0, 0.0, 1.0), (-1.0, 0.0, math.nan)],  # an empty row before it
+        ],
+    )
+    def test_nan_root_raises_as_one_row_at_a_time(self, rows):
+        with pytest.raises(ValueError, match="NaN"):
+            sequential_solution(rows)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="row 1 has a NaN root"):
+            solve_quadratic_system(rows)
+
+    def test_only_k_by_3_rows(self):
+        assert solve_quadratic_system([]) == IntervalUnion.real_line()
+        assert solve_quadratic_system(np.empty((0, 3))) == IntervalUnion.real_line()
+        for shape in ((3, 2), (3,), (2, 3, 1), (0, 2)):
+            with pytest.raises(ValueError, match=r"must be \(k, 3\) rows"):
+                solve_quadratic_system(np.ones(shape))
 
     def test_random_root_grids_match_sequential(self):
         # roots on a coarse grid, so holes touch, nest and overlap, and ends coincide
@@ -215,6 +281,32 @@ class TestQuadraticSystem:
             cond = inference._condition(pair)
             on_record = hex_pieces(baselines._si_dtw_oc(cond))
             assert on_record == hex_pieces(si_dtw_oc_region(pair, cond.line))
+
+    @pytest.mark.parametrize("decimals", [None, 1])
+    def test_large_oc_systems_match_sequential(self, decimals):
+        # n = m = 40: about 3,000 rows, hundreds of them holes, in one sweep
+        solid = 0
+        for seed in range(4):
+            rng = np.random.default_rng([37, decimals or 0, seed])
+            x, y = rng.normal(size=40), rng.normal(size=40)
+            if decimals is not None:
+                x, y = np.round(x, decimals), np.round(y, decimals)
+            cond = inference._condition(TimeSeriesPair(x, y))
+            rows = _si_dtw_oc_constraints(cond.table, cond.line)
+            alpha, beta, gamma = rows.T
+            assert np.count_nonzero((alpha < 0.0) & (beta * beta > 4.0 * alpha * gamma)) >= 300
+            want = sequential_solution(rows)
+            assert hex_pieces(solve_quadratic_system(rows)) == hex_pieces(want)
+            solid += not want.is_empty
+        assert solid >= 1
+
+    def test_overflowing_pair_ends_in_typed_error(self):
+        # at 1e160 the cell terms overflow and most rows are NaN: the system
+        # raises, as one row at a time would, rather than drop them
+        rng = np.random.default_rng(0)
+        pair = TimeSeriesPair(rng.normal(size=6) * 1e160, rng.normal(size=6) * 1e160)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="NaN root"):
+            si_dtw_oc_p_value(pair)
 
 
 class TestOcConstraintRows:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dtwsi import dtw_core, parametric
 from dtwsi.dtw_core import (
     AlignmentMatrix,
     TimeSeriesPair,
@@ -21,6 +22,7 @@ from dtwsi.dtw_core import (
 )
 from dtwsi.dtw_core import test_direction as direction_of
 from dtwsi.dtw_core import test_statistic as statistic_of
+from dtwsi.inference import selective_p_value
 from dense_views import abs_alignment_statistic, omega_matrix, path_cost, path_vec, scatter_path
 import oracles
 
@@ -124,6 +126,22 @@ class TestAlignmentMatrix:
                 AlignmentMatrix(n, m, ((1, 1),))
         with pytest.raises(ValueError, match="empty path"):
             AlignmentMatrix(1, 1, ())
+
+    def test_observed_path_becomes_index_arrays_once(self, monkeypatch):
+        # signs, direction, sign window and the region's loss of M_obs all read
+        # the alignment's one conversion; witness probes convert the paths they find
+        converted, losses = [], []
+        path_cells, path_loss = dtw_core._path_cells, parametric._path_loss
+        monkeypatch.setattr(dtw_core, "_path_cells", lambda p: converted.append(p) or path_cells(p))
+        monkeypatch.setattr(
+            parametric, "_path_loss", lambda cells, terms: losses.append(cells) or path_loss(cells, terms)
+        )
+        rng = np.random.default_rng(58)
+        M = selective_p_value(TimeSeriesPair(rng.normal(size=8), rng.normal(size=8) + 1.0)).alignment
+        assert converted == [M.path]
+        assert any(cells is M._cells for cells in losses)
+        assert not (M._cells[0].flags.writeable or M._cells[1].flags.writeable)
+        assert all("_cells" not in vars(A) for A in enumerate_alignments(3, 3))
 
 
 class TestCostMatrix:
